@@ -49,11 +49,13 @@ from .evalharness import (
     train_ground_truth,
 )
 from .longtail import (
+    CSV_HEADER,
     Contributor,
     MixtureSpec,
     PowerLawSpec,
     TruncatedPowerLawSpec,
     make_contributors,
+    parse_contributor_rows,
     read_contributors,
 )
 from .mmd import MultiKernelSpec, mmd
@@ -84,7 +86,9 @@ composition_term,total,gradient_norm_bound
   marginal CSV     contributor_id,value,stderr
   groundtruth CSV  contributor_id,test_metric,config_digest,diverged
 environment:
-  MIXVAL_THREADS   worker threads for per-contributor loops (default 1)
+  MIXVAL_THREADS   worker threads for per-contributor loops (default 1);
+                   pays off only when each contributor's work is large
+                   (wide models, hundreds of samples), slower on small jobs
 """
 
 
@@ -177,15 +181,12 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-_CONTRIB_HEADER = ("id", "knowledge_index", "is_real", "label")
-
-
 def read_samples(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read a sample CSV: contributor-row schema or plain numeric columns.
 
     Contributor rows (id, knowledge_index, is_real, label, features...)
-    yield (features, labels); any other header is treated as all-numeric
-    feature columns with no labels.
+    yield (features, labels) in file order; any other header is treated
+    as all-numeric feature columns with no labels.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -196,14 +197,16 @@ def read_samples(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
         raise ConfigError(f"cannot read samples {path}: {exc}") from exc
     if header is None or not rows:
         raise DomainError(f"sample file {path} has no data rows")
-    try:
-        if tuple(header[: len(_CONTRIB_HEADER)]) == _CONTRIB_HEADER:
-            x = np.array([[float(v) for v in r[len(_CONTRIB_HEADER):]] for r in rows])
-            y = np.array([float(r[3]) for r in rows])
-            return x, y
-        return np.array([[float(v) for v in r] for r in rows]), None
-    except (ValueError, IndexError) as exc:
-        raise DomainError(f"sample file {path} has malformed rows: {exc}") from exc
+    if tuple(header[: len(CSV_HEADER)]) == CSV_HEADER:
+        _, _, y, x = parse_contributor_rows(rows, str(path))
+    else:
+        try:
+            x, y = np.array([[float(v) for v in r] for r in rows]), None
+        except ValueError as exc:
+            raise DomainError(f"sample file {path} has malformed rows: {exc}") from exc
+    if not np.all(np.isfinite(x)) or (y is not None and not np.all(np.isfinite(y))):
+        raise DomainError(f"sample file {path} holds non-finite values")
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -830,9 +833,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error[numerical]: {exc}", file=sys.stderr)
         return 4
-    except DomainError as exc:
-        print(f"error[domain]: {exc}", file=sys.stderr)
-        return 3
     except MixvalError as exc:
         print(f"error[domain]: {exc}", file=sys.stderr)
         return 3

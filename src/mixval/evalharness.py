@@ -25,7 +25,7 @@ from ._seeds import derive_seed, substream
 from .errors import DegenerateDataError, DomainError
 from .longtail import Contributor, MixtureSpec, make_contributors
 from .ntk import MLPSpec, Model, ParamVector, gradients, init_params, ntk_gram, predict
-from .valuation import ValuationScore, empirical_loss
+from .valuation import ValuationScore, empirical_loss, mixture_loss
 
 log = logging.getLogger(__name__)
 
@@ -233,16 +233,8 @@ def pearson(xs, ys) -> float:
 def average_ranks(xs) -> np.ndarray:
     """1-based ranks with tied values sharing their average rank."""
     x = np.asarray(xs, dtype=float).ravel()
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def spearman(xs, ys) -> float:
@@ -348,18 +340,7 @@ def loss_only_scores(
     contributors: Sequence[Contributor], model: Model
 ) -> dict[str, float]:
     """Ablation baseline: the mixture-weighted initial loss term alone."""
-    out = {}
-    for c in contributors:
-        parts = []
-        for weight, x, y in (
-            (c.pi, c.real_x, c.real_y),
-            (1.0 - c.pi, c.synth_x, c.synth_y),
-        ):
-            if weight == 0.0 or len(y) == 0:
-                continue
-            parts.append(weight * empirical_loss(model, x, y))
-        out[c.id] = math.fsum(parts)
-    return out
+    return {c.id: mixture_loss(model, c) for c in contributors}
 
 
 # ---------------------------------------------------------------------------

@@ -178,9 +178,12 @@ class Contributor:
                 raise DomainError(f"contributor {self.id!r}: inconsistent {name} arrays")
         if self.real_x.shape[1] != self.synth_x.shape[1] and n1 and n2:
             raise DomainError(f"contributor {self.id!r}: feature dims differ")
-        for y in (self.real_y, self.synth_y):
-            if len(y) and (y.min() < 0.0 or y.max() > 1.0):
+        for x, y in ((self.real_x, self.real_y), (self.synth_x, self.synth_y)):
+            # comparisons with NaN are False, so NaN labels fail this test too
+            if not np.all((y >= 0.0) & (y <= 1.0)):
                 raise DomainError(f"contributor {self.id!r}: labels outside [0, 1]")
+            if not np.all(np.isfinite(x)):
+                raise DomainError(f"contributor {self.id!r}: features must be finite")
 
     @property
     def n_real(self) -> int:
@@ -275,7 +278,7 @@ def make_contributors(
 # ---------------------------------------------------------------------------
 # CSV serialization: one file per contributor, one row per sample.
 
-_CSV_FIXED = ("id", "knowledge_index", "is_real", "label")
+CSV_HEADER = ("id", "knowledge_index", "is_real", "label")
 
 
 def write_contributors(contributors: list[Contributor], directory: str) -> list[str]:
@@ -285,7 +288,7 @@ def write_contributors(contributors: list[Contributor], directory: str) -> list[
     for c in contributors:
         path = os.path.join(directory, f"{c.id}.csv")
         dim = c.pooled_x().shape[1]
-        header = list(_CSV_FIXED) + [f"f{j}" for j in range(dim)]
+        header = list(CSV_HEADER) + [f"f{j}" for j in range(dim)]
         rows = []
         for is_real, x, y, idx in ((1, c.real_x, c.real_y, c.real_idx),
                                    (0, c.synth_x, c.synth_y, c.synth_idx)):
@@ -300,6 +303,24 @@ def write_contributors(contributors: list[Contributor], directory: str) -> list[
     return paths
 
 
+def parse_contributor_rows(
+    rows: list[list[str]], path: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (knowledge_index, is_real, label, features) of the data rows
+    of a :data:`CSV_HEADER` file, in file order.
+
+    A row that does not parse raises :class:`DomainError` naming ``path``.
+    """
+    try:
+        idx = np.array([int(r[1]) for r in rows], dtype=np.int64)
+        is_real = np.array([int(r[2]) for r in rows], dtype=bool)
+        y = np.array([float(r[3]) for r in rows])
+        x = np.array([[float(v) for v in r[len(CSV_HEADER):]] for r in rows])
+    except (ValueError, IndexError) as exc:
+        raise DomainError(f"{path}: malformed contributor row: {exc}") from exc
+    return idx, is_real, y, x
+
+
 def read_contributors(directory: str) -> list[Contributor]:
     """Load every ``*.csv`` in a directory written by :func:`write_contributors`."""
     names = sorted(f for f in os.listdir(directory) if f.endswith(".csv"))
@@ -311,19 +332,15 @@ def read_contributors(directory: str) -> list[Contributor]:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or header[: len(_CSV_FIXED)] != list(_CSV_FIXED):
+            if header is None or tuple(header[: len(CSV_HEADER)]) != CSV_HEADER:
                 raise DomainError(f"{path}: unexpected contributor CSV header")
             rows = list(reader)
         if not rows:
             raise DomainError(f"{path}: contributor file has no samples")
-        cid = rows[0][0]
-        idx = np.array([int(r[1]) for r in rows], dtype=np.int64)
-        is_real = np.array([int(r[2]) for r in rows], dtype=bool)
-        y = np.array([float(r[3]) for r in rows])
-        x = np.array([[float(v) for v in r[4:]] for r in rows])
+        idx, is_real, y, x = parse_contributor_rows(rows, path)
         out.append(
             Contributor(
-                id=cid,
+                id=rows[0][0],
                 real_x=x[is_real], real_y=y[is_real], real_idx=idx[is_real],
                 synth_x=x[~is_real], synth_y=y[~is_real], synth_idx=idx[~is_real],
             )

@@ -17,12 +17,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
-from .errors import DomainError, GridError, NumericalError
+from .errors import DomainError, GridError
 from .longtail import MixtureSpec, PowerLawSpec, TruncatedPowerLawSpec
-
-_EPS = np.finfo(float).eps
-_MAX_ITER = 600
 
 
 @dataclass(frozen=True)
@@ -182,56 +180,14 @@ def phase_closed_form(
 def upper_incomplete_gamma(s: float, x: float) -> float:
     """Upper incomplete gamma integral of t**(s-1) * exp(-t) over [x, inf).
 
-    Uses the lower-series expansion for x < s + 1 and a Lentz continued
-    fraction otherwise; both converge to near machine precision on
-    s in (0, ~170), x >= 0.
+    Computed as scipy's regularized ``gammaincc(s, x) * Gamma(s)``, which
+    holds to near machine precision on s in (0, ~170), x >= 0.
     """
     if not s > 0:
         raise DomainError(f"s must be > 0, got {s}")
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return math.gamma(s)
-    if x < s + 1.0:
-        return math.gamma(s) - _lower_gamma_series(s, x)
-    return _upper_gamma_cf(s, x)
-
-
-def _lower_gamma_series(s: float, x: float) -> float:
-    # gamma_lower(s, x) = x**s * exp(-x) * sum_k x**k / (s (s+1) ... (s+k))
-    term = 1.0 / s
-    total = term
-    for k in range(1, _MAX_ITER):
-        term *= x / (s + k)
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return math.exp(s * math.log(x) - x) * total
-    raise NumericalError(f"series for incomplete gamma failed to converge at s={s}, x={x}")
-
-
-def _upper_gamma_cf(s: float, x: float) -> float:
-    # Modified Lentz evaluation of the continued fraction
-    # Gamma(s, x) = exp(-x + s log x) / (x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(...)))
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for k in range(1, _MAX_ITER):
-        an = -k * (k - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return math.exp(-x + s * math.log(x)) * h
-    raise NumericalError(f"continued fraction for incomplete gamma stalled at s={s}, x={x}")
+    return float(special.gammaincc(s, x)) * math.gamma(s)
 
 
 @dataclass(frozen=True)

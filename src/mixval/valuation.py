@@ -23,11 +23,10 @@ import numpy as np
 from ._seeds import substream
 from .errors import DomainError, MixvalError
 from .longtail import Contributor, pool_contributors
-from .mmd import MultiKernelSpec, mmd
+from .mmd import _DEFAULT_SCALES, MultiKernelSpec, mmd
 from .ntk import Model, bound_term, ntk_gram
 
 _EXACT_SHAPLEY_MAX = 12
-_DEFAULT_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -152,18 +151,31 @@ def empirical_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((f - y) ** 2) / 2.0)
 
 
-def _capped(x: np.ndarray, cap: int | None, rng: np.random.Generator) -> np.ndarray:
-    if cap is None or len(x) <= cap:
-        return x
-    idx = np.sort(rng.choice(len(x), size=cap, replace=False))
-    return x[idx]
+def _parts(c: Contributor) -> list[tuple[float, np.ndarray, np.ndarray, str]]:
+    # (weight, x, y, tag) of the real and synthetic parts; an empty part
+    # has weight 0 and is left out
+    return [
+        (weight, x, y, tag)
+        for weight, x, y, tag in (
+            (c.pi, c.real_x, c.real_y, "real"),
+            (1.0 - c.pi, c.synth_x, c.synth_y, "synth"),
+        )
+        if len(y)
+    ]
 
 
-def _capped_xy(x, y, cap, rng):
-    if cap is None or len(y) <= cap:
-        return x, y
-    idx = np.sort(rng.choice(len(y), size=cap, replace=False))
-    return x[idx], y[idx]
+def mixture_loss(model: Model, contributor: Contributor) -> float:
+    """Mixture-weighted loss pi * L(real) + (1 - pi) * L(synth) at the model."""
+    return math.fsum(
+        weight * empirical_loss(model, x, y) for weight, x, y, _ in _parts(contributor)
+    )
+
+
+def _cap_rows(n: int, cap: int | None, rng: np.random.Generator) -> np.ndarray | slice:
+    # sorted rows of one size-cap draw from rng; every row when no cap fires
+    if cap is None or n <= cap:
+        return slice(None)
+    return np.sort(rng.choice(n, size=cap, replace=False))
 
 
 def score(
@@ -182,30 +194,26 @@ def score(
     test_x = np.asarray(test_x, dtype=float)
     if test_x.ndim != 2 or len(test_x) < 1:
         raise DomainError("test set must be a nonempty 2-d array")
+    if not np.all(np.isfinite(test_x)):
+        raise DomainError("test set must be finite")
     cid = contributor.id
     pi = contributor.pi
     try:
-        parts = []
-        for weight, x, y, tag in (
-            (pi, contributor.real_x, contributor.real_y, "real"),
-            (1.0 - pi, contributor.synth_x, contributor.synth_y, "synth"),
-        ):
-            if weight == 0.0 or len(y) == 0:
-                continue
-            loss = empirical_loss(model, x, y)
+        loss_term = mixture_loss(model, contributor)
+        dists = []
+        for weight, x, _, tag in _parts(contributor):
             rng_m = substream(config.seed, "value", cid, "mmd-cap", tag)
-            part_x = _capped(x, config.mmd_cap, rng_m)
+            part_x = x[_cap_rows(len(x), config.mmd_cap, rng_m)]
             rng_t = substream(config.seed, "value", cid, "test-cap", tag)
-            t_x = _capped(test_x, config.test_cap, rng_t)
+            t_x = test_x[_cap_rows(len(test_x), config.test_cap, rng_t)]
             bank = MultiKernelSpec.median_bank(t_x, part_x, config.kernel_scales)
-            dist = mmd(t_x, part_x, bank, config.estimator).value
-            parts.append((weight, loss, dist))
-        loss_term = math.fsum(w * l for w, l, _ in parts)
-        discrepancy_term = math.fsum(w * d for w, _, d in parts)
+            dists.append(weight * mmd(t_x, part_x, bank, config.estimator).value)
+        discrepancy_term = math.fsum(dists)
 
         pooled_x, pooled_y = contributor.pooled_x(), contributor.pooled_y()
         rng_n = substream(config.seed, "value", cid, "ntk-cap")
-        sub_x, sub_y = _capped_xy(pooled_x, pooled_y, config.ntk_cap, rng_n)
+        keep = _cap_rows(len(pooled_y), config.ntk_cap, rng_n)
+        sub_x, sub_y = pooled_x[keep], pooled_y[keep]
         gram = ntk_gram(model.spec, model.params, sub_x)
         residuals = sub_y - model.predict(sub_x)
         ntk_term = bound_term(gram, residuals, config.ridge)

@@ -275,6 +275,18 @@ def test_value_reads_contributor_directory(tmp_path, capsys):
     with open(out / "scores.csv", newline="") as handle:
         rows = list(csv.reader(handle))
     assert [r[0] for r in rows[1:]] == ["c000", "c001"]
+    # a non-integer knowledge_index is a domain error that names its file
+    bad = data_dir / "c001.csv"
+    lines = bad.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[1] = "2.5"
+    lines[1] = ",".join(fields)
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        capsys, "value", "--config", str(cfg), "--out", str(tmp_path / "out2")
+    )
+    assert code == 3
+    assert "error[domain]" in err and "c001.csv" in err
 
 
 def test_marginal_exact_and_sampled(tmp_path, capsys):
@@ -457,4 +469,7 @@ def test_read_samples_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0,oops\n", encoding="utf-8")
     with pytest.raises(DomainError):
+        cli.read_samples(path)
+    path.write_text("a,b\n1.0,inf\n", encoding="utf-8")
+    with pytest.raises(DomainError, match="non-finite"):
         cli.read_samples(path)

@@ -212,6 +212,10 @@ def test_contributor_validation():
         Contributor("a", x, y[:1], idx, empty_x, empty_y, empty_idx)
     with pytest.raises(DomainError):
         Contributor("a", x, np.array([0.2, 1.4]), idx, empty_x, empty_y, empty_idx)
+    with pytest.raises(DomainError):
+        Contributor("a", x, np.array([0.2, np.nan]), idx, empty_x, empty_y, empty_idx)
+    with pytest.raises(DomainError):
+        Contributor("a", empty_x, empty_y, empty_idx, x + np.inf, y, idx)
 
 
 def test_pool_contributors_counts(contributors_small):

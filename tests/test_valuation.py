@@ -117,6 +117,10 @@ def test_score_validation(contributors_small, model_small):
         score(contributors_small[0], np.zeros((0, 4)), model_small, config)
     with pytest.raises(DomainError):
         score(contributors_small[0], np.zeros(4), model_small, config)
+    infinite = np.zeros((3, 4))
+    infinite[0, 0] = np.inf
+    with pytest.raises(DomainError):
+        score(contributors_small[0], infinite, model_small, config)
 
 
 def test_score_all_order_and_worker_invariance(contributors_small, test_x_small, model_small):
