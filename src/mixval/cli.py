@@ -304,7 +304,10 @@ def _valuation_config(cfg: dict, seed: int) -> ValuationConfig:
     caps = {}
     for key in ("ntk_cap", "mmd_cap", "test_cap"):
         if key in cfg:
-            caps[key] = None if cfg[key] is None else int(cfg[key])
+            cap = cfg[key]
+            if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool)):
+                raise ConfigError(f"{key} must be an integer or null, got {cap!r}")
+            caps[key] = cap
     ridge = cfg.get("ridge")
     return ValuationConfig(
         weights=weights,

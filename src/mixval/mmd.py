@@ -100,20 +100,27 @@ def gaussian_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
 def median_heuristic(x: np.ndarray, y: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sample set.
 
-    A zero median (over half the points coincide) falls back to the
-    smallest positive distance; a pooled set with no positive distance
-    at all has no usable scale.
+    Computed from squared distances partitioned around the middle pair
+    and square-rooted, which equals the median of the distances exactly
+    (sqrt is monotone and correctly rounded); an even pair count gives
+    the mean of the two middle distances.  A zero median (over half the
+    points coincide) falls back to the smallest positive distance; a
+    pooled set with no positive distance at all has no usable scale.
     """
     pooled = np.vstack([_as_matrix(x, "X"), _as_matrix(y, "Y")])
     if len(pooled) < 2:
         raise DomainError("median heuristic needs at least 2 pooled points")
-    dists = pdist(pooled)
-    med = float(np.median(dists))
+    if not np.all(np.isfinite(pooled)):
+        raise DomainError("median heuristic needs finite points")
+    d2 = pdist(pooled, "sqeuclidean")
+    mid = [(len(d2) - 1) // 2, len(d2) // 2]
+    d2.partition(mid)
+    med = float(np.mean(np.sqrt(d2[mid])))
     if med == 0.0:
-        positive = dists[dists > 0]
+        positive = d2[d2 > 0]
         if positive.size == 0:
             raise DegenerateDataError("all pooled points identical; no length scale")
-        med = float(positive.min())
+        med = float(np.sqrt(positive.min()))
     return med
 
 
@@ -124,11 +131,6 @@ def _as_matrix(v: np.ndarray, name: str) -> np.ndarray:
     if a.ndim != 2:
         raise DomainError(f"{name} must be a 1-d or 2-d array, got ndim={a.ndim}")
     return a
-
-
-def _kernel_matrix(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
-    d2 = cdist(x, y, metric="sqeuclidean")
-    return np.exp(-d2 / (2.0 * bandwidth**2))
 
 
 def _mean_all(k: np.ndarray) -> float:
@@ -168,11 +170,17 @@ def mmd(
             f"{estimator} estimator needs at least {minimum} points per set, "
             f"got {len(x)} and {len(y)}"
         )
+    # each squared-distance block is computed once; every kernel writes
+    # its Gram block into the same buffer.  d / -(2 bw^2) is bit-identical
+    # to -d / (2 bw^2), since IEEE division is sign-symmetric.
+    blocks = [cdist(a, b, metric="sqeuclidean") for a, b in ((x, x), (y, y), (x, y))]
+    bufs = [np.empty_like(d) for d in blocks]
     per_kernel = []
     for kern in spec.kernels:
-        kxx = _kernel_matrix(x, x, kern.bandwidth)
-        kyy = _kernel_matrix(y, y, kern.bandwidth)
-        kxy = _kernel_matrix(x, y, kern.bandwidth)
+        for d, buf in zip(blocks, bufs):
+            np.divide(d, -(2.0 * kern.bandwidth**2), out=buf)
+            np.exp(buf, out=buf)
+        kxx, kyy, kxy = bufs
         if estimator == "biased":
             sq = _mean_all(kxx) + _mean_all(kyy) - 2.0 * _mean_all(kxy)
         else:

@@ -231,8 +231,7 @@ class NTKGram:
 def ntk_gram(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> NTKGram:
     """Gram[i][j] = <grad f(x_i), grad f(x_j)> at the given parameters."""
     g = gradients(spec, params, x)
-    m = g @ g.T
-    m = (m + m.T) / 2.0
+    m = g @ g.T  # numpy computes g @ g.T with syrk: exactly symmetric
     bound = float(np.sqrt(np.maximum(np.diag(m), 0.0).max()))
     return NTKGram(matrix=m, gradient_norm_bound=bound)
 
@@ -240,6 +239,11 @@ def ntk_gram(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> NTKGram:
 def default_ridge(gram: NTKGram) -> float:
     """Relative ridge 1e-6 * trace / n (scale invariant)."""
     return 1e-6 * gram.trace() / gram.n
+
+
+def _condition(gram: NTKGram, ridge: float) -> float:
+    # for error messages only: the solve overwrites its ridged copy
+    return float(np.linalg.cond(gram.matrix + ridge * np.eye(gram.n)))
 
 
 def bound_term(
@@ -257,21 +261,22 @@ def bound_term(
         raise DomainError("residuals must be finite")
     if ridge is None:
         ridge = default_ridge(gram)
-    if ridge < 0:
-        raise DomainError(f"ridge must be >= 0, got {ridge}")
-    a = gram.matrix + ridge * np.eye(gram.n)
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
+    a = gram.matrix.copy(order="F")  # Fortran order: cho_factor works in place
+    a.flat[:: gram.n + 1] += ridge
     try:
-        sol = cho_solve(cho_factor(a), r)
+        sol = cho_solve(cho_factor(a, overwrite_a=True), r)
     except LinAlgError as exc:
         raise NumericalError(
             f"Gram system singular after ridge {ridge:g} "
-            f"(condition number ~ {np.linalg.cond(a):.3e})"
+            f"(condition number ~ {_condition(gram, ridge):.3e})"
         ) from exc
     quad = float(r @ sol)
     if not math.isfinite(quad) or quad < -1e-8 * max(1.0, gram.trace()):
         raise NumericalError(
             f"quadratic form {quad!r} unusable; Gram condition number "
-            f"~ {np.linalg.cond(a):.3e}"
+            f"~ {_condition(gram, ridge):.3e}"
         )
     return math.sqrt(max(quad, 0.0) / gram.n)
 

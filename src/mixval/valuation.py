@@ -133,10 +133,12 @@ class ValuationConfig:
         ):
             if cap is not None and cap < 2:
                 raise DomainError(f"{name} must be >= 2 or None, got {cap}")
-        if not self.kernel_scales or any(s <= 0 for s in self.kernel_scales):
-            raise DomainError("kernel_scales must be positive and nonempty")
-        if self.ridge is not None and self.ridge < 0:
-            raise DomainError(f"ridge must be >= 0, got {self.ridge}")
+        if not self.kernel_scales or not all(
+            math.isfinite(s) and s > 0 for s in self.kernel_scales
+        ):
+            raise DomainError("kernel_scales must be finite, positive and nonempty")
+        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise DomainError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
 def empirical_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:

@@ -89,6 +89,17 @@ def test_missing_seed_on_stochastic_command_exits_2(tmp_path, capsys):
     assert code == 2 and "seed" in err
 
 
+@pytest.mark.parametrize("cap", [2.7, 1.5, True, "4"])
+def test_non_integer_cap_exits_2(tmp_path, capsys, cap):
+    payload = value_payload()
+    payload["mmd_cap"] = cap
+    cfg = write_config(tmp_path, "val.json", payload)
+    code, _, err = run_cli(
+        capsys, "value", "--config", str(cfg), "--out", str(tmp_path / "out")
+    )
+    assert code == 2 and "mmd_cap" in err
+
+
 def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MIXVAL_THREADS", "many")
     cfg = write_config(tmp_path, "val.json", value_payload())
@@ -113,6 +124,13 @@ def test_domain_error_exits_3(tmp_path, capsys):
     assert code == 3
     assert "error[domain]" in err
     assert not out.exists()
+    # a NaN ridge is rejected by the config, not by the solver
+    payload = value_payload()
+    payload["ridge"] = float("nan")
+    cfg = write_config(tmp_path, "val.json", payload)
+    code, _, err = run_cli(capsys, "value", "--config", str(cfg), "--out", str(out))
+    assert code == 3
+    assert "error[domain]" in err and "ridge" in err
 
 
 def test_numerical_error_exits_4(tmp_path, capsys, monkeypatch):

@@ -62,6 +62,8 @@ def test_bank_validation():
 
 def test_median_heuristic_hand_cases():
     assert median_heuristic(np.array([0.0, 1.0]), np.array([3.0])) == 2.0
+    # even pair count: distances 1, 2, 3, 4, 6, 7 average the middle two
+    assert median_heuristic(np.array([0.0, 1.0]), np.array([3.0, 7.0])) == 3.5
     # majority-duplicate set: median distance 0 falls back to the
     # smallest positive distance
     assert median_heuristic(np.array([0.0, 0.0, 0.0, 0.0]), np.array([1.0])) == 1.0
@@ -69,6 +71,8 @@ def test_median_heuristic_hand_cases():
         median_heuristic(np.array([2.0, 2.0]), np.array([2.0, 2.0]))
     with pytest.raises(DomainError):
         median_heuristic(np.zeros((1, 2)), np.zeros((0, 2)))
+    with pytest.raises(DomainError):
+        median_heuristic(np.array([0.0, np.nan]), np.array([1.0]))
 
 
 def test_median_bank_scales():

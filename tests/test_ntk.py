@@ -182,14 +182,16 @@ def test_gram_matches_explicit_outer_product():
 
 
 def test_gram_symmetric_and_psd():
-    spec = MLPSpec(layer_widths=(6, 16, 1), init_seed=14)
-    model = Model.at_init(spec)
+    # exactly symmetric below and above the parameter count (P = 161, 641)
     rng = np.random.default_rng(13)
-    x = rng.standard_normal((40, 6))
-    gram = ntk_gram(spec, model.params, x)
-    assert np.array_equal(gram.matrix, gram.matrix.T)
-    eigs = np.linalg.eigvalsh(gram.matrix)
-    assert eigs.min() >= -1e-8 * gram.trace() / gram.n
+    for n, widths in ((40, (6, 16, 1)), (300, (8, 16, 1)), (120, (8, 64, 1))):
+        spec = MLPSpec(layer_widths=widths, init_seed=14)
+        model = Model.at_init(spec)
+        x = rng.standard_normal((n, widths[0]))
+        gram = ntk_gram(spec, model.params, x)
+        assert np.array_equal(gram.matrix, gram.matrix.T)
+        eigs = np.linalg.eigvalsh(gram.matrix)
+        assert eigs.min() >= -1e-8 * gram.trace() / gram.n
 
 
 def test_gram_validation():
@@ -250,5 +252,9 @@ def test_bound_term_validation():
         bound_term(gram, np.ones(3))
     with pytest.raises(DomainError):
         bound_term(gram, np.array([np.inf, 0.0]))
-    with pytest.raises(DomainError):
-        bound_term(gram, np.ones(2), ridge=-0.5)
+    for ridge in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            bound_term(gram, np.ones(2), ridge=ridge)
+    singular = NTKGram(matrix=np.zeros((3, 3)), gradient_norm_bound=0.0)
+    with pytest.raises(NumericalError, match="singular"):
+        bound_term(singular, np.ones(3), ridge=0.0)

@@ -55,6 +55,10 @@ def test_config_validation():
         ValuationConfig(kernel_scales=())
     with pytest.raises(DomainError):
         ValuationConfig(ridge=-1.0)
+    with pytest.raises(DomainError):
+        ValuationConfig(ridge=float("nan"))
+    with pytest.raises(DomainError):
+        ValuationConfig(kernel_scales=(1.0, float("nan")))
 
 
 def test_score_total_is_weighted_term_sum(contributors_small, test_x_small, model_small):
