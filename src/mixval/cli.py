@@ -138,10 +138,32 @@ def _section(cfg: dict, key: str, allowed: set[str]) -> dict:
 def _require_seed(cfg: dict) -> int:
     if "seed" not in cfg:
         raise ConfigError("this subcommand is stochastic: config needs a 'seed'")
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    return seed
+    return _integer(cfg["seed"], "seed")
+
+
+def _integer(value, key: str) -> int:
+    """A config value that must be a JSON integer; booleans are not integers."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, key: str) -> float:
+    """A config value that must be a JSON number.
+
+    NaN and infinities pass: the library rejects values outside their
+    domain with a ``DomainError`` (exit 3).
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(values, key: str) -> tuple[float, ...]:
+    """A config value that must be a JSON list of numbers."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(_real(v, key) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +322,16 @@ def _valuation_config(cfg: dict, seed: int) -> ValuationConfig:
     scales = cfg.get("kernel_scales")
     kwargs = {}
     if scales is not None:
-        kwargs["kernel_scales"] = tuple(float(s) for s in scales)
+        kwargs["kernel_scales"] = _reals(scales, "kernel_scales")
     caps = {}
     for key in ("ntk_cap", "mmd_cap", "test_cap"):
         if key in cfg:
-            cap = cfg[key]
-            if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool)):
-                raise ConfigError(f"{key} must be an integer or null, got {cap!r}")
-            caps[key] = cap
+            caps[key] = None if cfg[key] is None else _integer(cfg[key], key)
     ridge = cfg.get("ridge")
     return ValuationConfig(
         weights=weights,
         estimator=cfg.get("estimator", "biased"),
-        ridge=None if ridge is None else float(ridge),
+        ridge=None if ridge is None else _real(ridge, "ridge"),
         seed=seed,
         **kwargs,
         **caps,
@@ -361,31 +380,35 @@ def run_simulate(cfg: dict, out: Path) -> RunResult:
     p = _section(cfg, "params", _PARAM_KEYS)
     if "pi" in cfg and "pi_grid" in cfg:
         raise ConfigError("give either 'pi' or 'pi_grid', not both")
-    pis = cfg.get("pi_grid", [cfg.get("pi", 0.5)])
+    pi_key = "pi_grid" if "pi_grid" in cfg else "pi"
+    pis = cfg.get(pi_key, 0.5)
     if not isinstance(pis, list):
         pis = [pis]
     if not pis:
         raise ConfigError("'pi_grid' must not be empty")
+    pis = [_real(pi, pi_key) for pi in pis]
     grid = log_grid(
-        float(cfg.get("n_min", 1e2)),
-        float(cfg.get("n_max", 1e6)),
-        int(cfg.get("points_per_decade", 24)),
+        _real(cfg.get("n_min", 1e2), "n_min"),
+        _real(cfg.get("n_max", 1e6), "n_max"),
+        _integer(cfg.get("points_per_decade", 24), "points_per_decade"),
     )
+    smooth_window = _integer(cfg.get("smooth_window", 5), "smooth_window")
+    min_curvature = _real(cfg.get("min_curvature", 0.02), "min_curvature")
     result = RunResult()
     for pi in pis:
         params = ScalingParams(
-            a=float(p.get("a", 1.0)),
-            alpha=float(p.get("alpha", 0.5)),
-            b=float(p.get("b", 1.0)),
-            lam=float(p.get("lam", 1.0)),
-            beta=float(p.get("beta", 1.5)),
-            cutoff=int(p.get("cutoff", 100)),
-            pi=float(pi),
-            support_max=int(p.get("support_max", 100_000)),
+            a=_real(p.get("a", 1.0), "a"),
+            alpha=_real(p.get("alpha", 0.5), "alpha"),
+            b=_real(p.get("b", 1.0), "b"),
+            lam=_real(p.get("lam", 1.0), "lam"),
+            beta=_real(p.get("beta", 1.5), "beta"),
+            cutoff=_integer(p.get("cutoff", 100), "cutoff"),
+            pi=pi,
+            support_max=_integer(p.get("support_max", 100_000), "support_max"),
         )
         curve = sweep(params, grid)
         labels = curve.phase_labels()
-        tag = f"{float(pi):g}".replace(".", "p")
+        tag = f"{pi:g}".replace(".", "p")
         curve_path = out / f"curve_pi{tag}.csv"
         _write_csv(
             curve_path,
@@ -393,12 +416,10 @@ def run_simulate(cfg: dict, out: Path) -> RunResult:
             zip(curve.sample_sizes.tolist(), curve.errors.tolist(), labels),
         )
         report = detect_breakpoints(
-            curve,
-            smooth_window=int(cfg.get("smooth_window", 5)),
-            min_curvature=float(cfg.get("min_curvature", 0.02)),
+            curve, smooth_window=smooth_window, min_curvature=min_curvature
         )
         report_path = out / f"breakpoints_pi{tag}.json"
-        payload = {"pi": float(pi), **report.to_dict()}
+        payload = {"pi": pi, **report.to_dict()}
         _write_json(report_path, payload)
         result.outputs += [curve_path, report_path]
     return result
@@ -418,12 +439,12 @@ def run_discrepancy(cfg: dict, out: Path) -> RunResult:
     result.inputs += [Path(cfg["x"]), Path(cfg["y"])]
     if "bandwidths" in cfg:
         spec = MultiKernelSpec.from_bandwidths(
-            tuple(float(b) for b in cfg["bandwidths"]),
-            None if "weights" not in cfg else tuple(float(w) for w in cfg["weights"]),
+            _reals(cfg["bandwidths"], "bandwidths"),
+            None if "weights" not in cfg else _reals(cfg["weights"], "weights"),
         )
     else:
         scales = cfg.get("scales")
-        kwargs = {} if scales is None else {"scales": tuple(float(s) for s in scales)}
+        kwargs = {} if scales is None else {"scales": _reals(scales, "scales")}
         spec = MultiKernelSpec.median_bank(x, y, **kwargs)
     estimator = cfg.get("estimator", "biased")
     estimate = mmd(x, y, spec, estimator)
@@ -459,7 +480,7 @@ def run_gram(cfg: dict, out: Path) -> RunResult:
     params = init_params(spec)
     gram = ntk_gram(spec, params, x)
     ridge = cfg.get("ridge")
-    ridge = default_ridge(gram) if ridge is None else float(ridge)
+    ridge = default_ridge(gram) if ridge is None else _real(ridge, "ridge")
     gram_path = out / "gram.csv"
     _write_csv(
         gram_path,

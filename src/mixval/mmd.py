@@ -46,9 +46,9 @@ class MultiKernelSpec:
             raise DomainError(
                 f"{len(self.kernels)} kernels but {len(self.weights)} weights"
             )
-        if any(w < 0 for w in self.weights):
-            raise DomainError("kernel weights must be nonnegative")
-        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
+        if not all(w >= 0 for w in self.weights):
+            raise DomainError(f"kernel weights must be nonnegative, got {self.weights}")
+        if not abs(math.fsum(self.weights) - 1.0) <= 1e-12:
             raise DomainError("kernel weights must sum to 1 within 1e-12")
 
     @classmethod

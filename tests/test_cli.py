@@ -100,6 +100,42 @@ def test_non_integer_cap_exits_2(tmp_path, capsys, cap):
     assert code == 2 and "mmd_cap" in err
 
 
+def edited_payload(tmp_path: Path, command: str, updates: dict) -> dict:
+    """A working config for ``command`` with some top-level keys replaced."""
+    if command == "discrepancy":
+        x = tmp_path / "x.csv"
+        y = tmp_path / "y.csv"
+        x.write_text("f0,f1\n0.0,0.0\n1.0,0.5\n", encoding="utf-8")
+        y.write_text("f0,f1\n1.0,1.0\n2.0,0.1\n", encoding="utf-8")
+        payload = {"x": str(x), "y": str(y)}
+    else:
+        payload = {"simulate": simulate_payload, "value": value_payload}[command]()
+    return {**payload, **updates}
+
+
+@pytest.mark.parametrize(
+    "command, updates, key",
+    [
+        ("simulate", {"params": {"support_max": 2_000, "cutoff": 10.7}}, "cutoff"),
+        ("simulate", {"points_per_decade": 8.9}, "points_per_decade"),
+        ("simulate", {"params": {"support_max": 2_000, "a": "x"}}, "a must"),
+        ("simulate", {"pi": "0.5"}, "pi"),
+        ("value", {"kernel_scales": ["x"]}, "kernel_scales"),
+        ("value", {"ridge": "x"}, "ridge"),
+        ("discrepancy", {"bandwidths": ["a"]}, "bandwidths"),
+        ("discrepancy", {"bandwidths": [1.0, 2.0], "weights": ["a", 1.0]}, "weights"),
+        ("discrepancy", {"scales": 2.0}, "scales"),
+    ],
+)
+def test_mistyped_number_exits_2(tmp_path, capsys, command, updates, key):
+    cfg = write_config(tmp_path, "cfg.json", edited_payload(tmp_path, command, updates))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "error[config]" in err and key in err
+    assert not out.exists()
+
+
 def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MIXVAL_THREADS", "many")
     cfg = write_config(tmp_path, "val.json", value_payload())
@@ -131,6 +167,25 @@ def test_domain_error_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "value", "--config", str(cfg), "--out", str(out))
     assert code == 3
     assert "error[domain]" in err and "ridge" in err
+
+
+@pytest.mark.parametrize(
+    "command, updates",
+    [
+        ("simulate", {"params": {"support_max": 2_000, "alpha": float("nan")}}),
+        ("simulate", {"params": {"support_max": 2_000, "lam": float("inf")}}),
+        ("simulate", {"n_min": float("nan")}),
+        ("simulate", {"n_max": float("inf")}),
+        ("discrepancy", {"bandwidths": [1.0, 2.0], "weights": [float("nan"), 1.0]}),
+    ],
+)
+def test_non_finite_value_exits_3(tmp_path, capsys, command, updates):
+    cfg = write_config(tmp_path, "cfg.json", edited_payload(tmp_path, command, updates))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 3
+    assert "error[domain]" in err
+    assert not out.exists()
 
 
 def test_numerical_error_exits_4(tmp_path, capsys, monkeypatch):

@@ -56,6 +56,9 @@ def test_bank_validation():
         MultiKernelSpec.from_bandwidths([1.0, 2.0], weights=(0.9, 0.2))
     with pytest.raises(DomainError):
         MultiKernelSpec.from_bandwidths([1.0, 2.0], weights=(1.2, -0.2))
+    for weights in ((float("nan"), 1.0), (0.5, float("nan")), (float("inf"), 1.0)):
+        with pytest.raises(DomainError):
+            MultiKernelSpec.from_bandwidths([1.0, 2.0], weights=weights)
     bank = MultiKernelSpec.from_bandwidths([1.0, 2.0, 4.0])
     assert bank.weights == (1 / 3, 1 / 3, 1 / 3)
 

@@ -51,6 +51,11 @@ def test_params_validation():
     with pytest.raises(DomainError):
         # gamma(i) > rho(i) on the head
         ScalingParams(a=0.5, alpha=1.0, b=1.0, lam=0.5, beta=1.5, cutoff=10, pi=0.5)
+    good = dict(a=1.0, alpha=0.5, b=0.0, lam=1.0, beta=1.5, cutoff=10, pi=0.5)
+    for field in ("a", "alpha", "b", "lam", "beta", "pi"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                ScalingParams(**{**good, field: bad})
 
 
 def test_oracle_hand_value_support_two():
@@ -90,6 +95,36 @@ def test_oracle_rejects_bad_sample_counts():
         expected_test_error_exact(params, -1)
     with pytest.raises(DomainError):
         expected_test_error_exact(params, float("inf"))
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            expected_test_error_exact(params, np.array([10.0, bad, 100.0]))
+    with pytest.raises(DomainError):
+        expected_test_error_exact(params, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        full_params(0.3, support_max=2_000),
+        # support of one index: q = 1, so the index is seen after any draw
+        ScalingParams(a=0.9, alpha=0.5, b=0.2, lam=1.0, beta=1.5, cutoff=1, pi=0.5,
+                      support_max=1),
+        ScalingParams(a=0.9, alpha=0.4, b=0.3, lam=0.8, beta=1.7, cutoff=3, pi=0.3,
+                      support_max=6),
+    ],
+)
+def test_oracle_array_matches_scalar_loop(params):
+    counts = np.array([0.0, 1.0, 0.5, 3.0, 7.25, 100.0, 0.0, 1e4, 1e9])
+    got = expected_test_error_exact(params, counts)
+    assert isinstance(got, np.ndarray) and got.shape == counts.shape
+    want = np.array([expected_test_error_exact(params, float(n)) for n in counts])
+    assert np.array_equal(got, want)
+    # a scalar, Python or numpy, still gives a Python float
+    for n in (0, 3, 7.25, np.float64(100.0), np.array(1e4)):
+        value = expected_test_error_exact(params, n)
+        assert type(value) is float
+        assert value == got[counts == float(n)][0]
+    assert expected_test_error_exact(params, np.array([])).shape == (0,)
 
 
 def test_error_limit_value_and_convergence():
@@ -255,6 +290,9 @@ def test_log_grid_shape_and_endpoints():
         log_grid(1e3, 1e2, 8)
     with pytest.raises(DomainError):
         log_grid(1e2, 1e3, 0)
+    for lo, hi, ppd in ((float("nan"), 1e3, 8), (1e2, float("inf"), 8), (1e2, 1e3, float("nan"))):
+        with pytest.raises(DomainError):
+            log_grid(lo, hi, ppd)
 
 
 def test_sweep_matches_pointwise_oracle():
