@@ -11,14 +11,15 @@ One executable, eight subcommands:
   evaluate     correlate a score file with a ground-truth file
   bench        time valuation against retraining on a built-in fixture
 
-Configs are JSON with unknown keys rejected; every output file is CSV or
-JSON, UTF-8 with LF line endings, written atomically (temp file plus
-rename).  A manifest with input/output digests, the seed, library
-versions and wall time is printed to stdout; wall time never goes into
-output files, so a rerun with the same config and seed is byte
-identical.  Exit codes: 0 success, 2 config error, 3 domain error, 4
-numerical error.  MIXVAL_THREADS sets the worker-thread count for
-per-contributor loops (default 1).
+Configs are JSON; an unknown key or a value of the wrong JSON type is a
+config error.  Every output file is CSV or JSON, UTF-8 with LF line
+endings, written atomically (temp file plus rename).  A manifest with
+input/output digests, the seed, library versions and wall time is
+printed to stdout; wall time never goes into output files, so a rerun
+with the same config and seed is byte identical.  Exit codes: 0
+success, 2 config error, 3 domain error, 4 numerical error.
+MIXVAL_THREADS sets the worker-thread count for per-contributor loops
+(default 1).
 """
 
 from __future__ import annotations
@@ -104,7 +105,9 @@ def _workers() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing.
+# Config schemas: each maps the keys a config object accepts to readers that
+# type-check their JSON values.  A key a config leaves out stays out of the
+# result, so the library constructor it feeds applies its own default.
 
 
 def _load_config(path: Path) -> dict:
@@ -121,24 +124,31 @@ def _load_config(path: Path) -> dict:
     return cfg
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _read(obj, schema: dict, where: str = "") -> dict:
+    """Type-check the config object ``obj``, rejecting keys not in ``schema``.
+
+    ``where`` is the dotted key of a nested section ("" for the whole
+    config); error messages name each value by its dotted key.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(schema))
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+        section = f"config section {where!r}" if where else "config"
+        raise ConfigError(f"unknown keys in {section}: {', '.join(unknown)}")
+    prefix = f"{where}." if where else ""
+    return {key: schema[key](value, prefix + key) for key, value in obj.items()}
 
 
-def _section(cfg: dict, key: str, allowed: set[str]) -> dict:
-    sub = cfg.get(key, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"config key {key!r} must be an object")
-    _check_keys(sub, allowed, f"config section {key!r}")
-    return sub
+def _required(cfg: dict, *keys: str) -> None:
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise ConfigError(f"config needs {' and '.join(map(repr, missing))}")
 
 
-def _require_seed(cfg: dict) -> int:
-    if "seed" not in cfg:
-        raise ConfigError("this subcommand is stochastic: config needs a 'seed'")
-    return _integer(cfg["seed"], "seed")
+def _given(cfg: dict, keys) -> dict:
+    """The entries of ``cfg`` under ``keys`` that the config sets."""
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
 def _integer(value, key: str) -> int:
@@ -159,11 +169,71 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
-def _reals(values, key: str) -> tuple[float, ...]:
-    """A config value that must be a JSON list of numbers."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(_real(v, key) for v in values)
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _boolean(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _list(reader):
+    """Reader of a JSON list whose entries ``reader`` checks, as a tuple."""
+
+    def read(values, key: str) -> tuple:
+        if not isinstance(values, list):
+            raise ConfigError(f"{key} must be a list, got {values!r}")
+        return tuple(reader(v, key) for v in values)
+
+    return read
+
+
+def _optional(reader):
+    """Reader that passes ``null`` through as ``None``."""
+    return lambda value, key: None if value is None else reader(value, key)
+
+
+def _object(schema: dict):
+    return lambda value, key: _read(value, schema, key)
+
+
+def _path_or(schema: dict):
+    """Reader of a file or directory path, or of an object read by ``schema``."""
+    return lambda value, key: value if isinstance(value, str) else _read(value, schema, key)
+
+
+_MIXTURE = {"beta": _real, "cutoff": _integer, "support_max": _integer}
+_GENERATOR = {
+    "mixture": _object(_MIXTURE), "feature_dim": _integer, "noise_scale": _real,
+    "seed": _integer,
+}
+# the fields of MLPSpec, TrainingConfig (but seed), ValuationWeights and
+# ValuationConfig (but seed and weights)
+_MODEL = {
+    "layer_widths": _list(_integer), "activation": _string, "output_squash": _string,
+    "init_seed": _integer,
+}
+_TRAINING = {
+    "lr_scale": _real, "lr_cap": _real, "tol": _real, "max_epochs": _integer,
+    "eigen_cap": _integer, "metric": _string, "restarts": _integer,
+}
+_WEIGHTS = {"w1": _real, "w2": _real, "w3": _real, "w4": _real}
+_VALUATION = {
+    "estimator": _string, "kernel_scales": _list(_real), "ntk_cap": _optional(_integer),
+    "mmd_cap": _optional(_integer), "test_cap": _optional(_integer),
+    "ridge": _optional(_real),
+}
+
+# the keys of every config that values or retrains contributors
+_DATA = {
+    "seed": _integer, "model": _object(_MODEL),
+    "contributors": _path_or({**_GENERATOR, "plan": _list(_list(_integer))}),
+    "test": _path_or({**_GENERATOR, "size": _integer}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -232,133 +302,54 @@ def read_samples(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 # ---------------------------------------------------------------------------
-# Shared config fragments.
-
-_MIXTURE_KEYS = {"beta", "cutoff", "support_max"}
-_GEN_KEYS = {"plan", "mixture", "feature_dim", "noise_scale", "seed"}
-_TEST_GEN_KEYS = {"size", "mixture", "feature_dim", "noise_scale", "seed"}
-_MODEL_KEYS = {"layer_widths", "activation", "output_squash", "init_seed"}
+# Contributors, test samples and models a config describes.
 
 
-def _mixture_spec(obj: dict, where: str) -> MixtureSpec:
-    _check_keys(obj, _MIXTURE_KEYS, where)
-    beta = float(obj.get("beta", 1.5))
-    cutoff = int(obj.get("cutoff", 20))
-    support_max = int(obj.get("support_max", 200))
-    return MixtureSpec(
+def _generate(gen: dict, plan, default_seed: int) -> list[Contributor]:
+    mix = {"beta": 1.5, "cutoff": 20, "support_max": 200, **gen.get("mixture", {})}
+    mixture = MixtureSpec(
         pi=0.5,
-        real_dist=PowerLawSpec(beta, support_max),
-        synth_dist=TruncatedPowerLawSpec(beta, cutoff, support_max),
+        real_dist=PowerLawSpec(mix["beta"], mix["support_max"]),
+        synth_dist=TruncatedPowerLawSpec(mix["beta"], mix["cutoff"], mix["support_max"]),
     )
-
-
-def _model_spec(obj: dict | None, input_dim: int) -> MLPSpec:
-    if obj is None:
-        obj = {}
-    _check_keys(obj, _MODEL_KEYS, "config section 'model'")
-    widths = tuple(int(w) for w in obj.get("layer_widths", (input_dim, 16, 1)))
-    return MLPSpec(
-        layer_widths=widths,
-        activation=obj.get("activation", "tanh"),
-        output_squash=obj.get("output_squash", "sigmoid"),
-        init_seed=int(obj.get("init_seed", 0)),
-    )
-
-
-def _load_contributor_entry(entry, seed: int, inputs: list[Path]) -> list[Contributor]:
-    if isinstance(entry, str):
-        directory = Path(entry)
-        contributors = read_contributors(directory)
-        inputs.extend(sorted(directory.glob("*.csv")))
-        return contributors
-    if not isinstance(entry, dict):
-        raise ConfigError("'contributors' must be a directory path or an object")
-    _check_keys(entry, _GEN_KEYS, "config section 'contributors'")
-    plan = entry.get("plan")
-    if not plan:
-        raise ConfigError("generated contributors need a 'plan' of [real, synth] pairs")
-    try:
-        pairs = [(int(r), int(s)) for r, s in plan]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed contributor plan: {exc}") from exc
-    mixture = _mixture_spec(entry.get("mixture", {}), "config section 'contributors.mixture'")
     return make_contributors(
-        pairs,
+        plan,
         mixture,
-        int(entry.get("feature_dim", 8)),
-        int(entry.get("seed", derive_seed(seed, "cli-contributors"))),
-        float(entry.get("noise_scale", 0.1)),
+        gen.get("feature_dim", 8),
+        gen.get("seed", default_seed),
+        **_given(gen, ("noise_scale",)),
     )
 
 
-def _load_test_entry(entry, seed: int, inputs: list[Path]) -> tuple[np.ndarray, np.ndarray | None]:
+def _model_spec(cfg: dict, input_dim: int) -> MLPSpec:
+    return MLPSpec(**{"layer_widths": (input_dim, 16, 1), **cfg.get("model", {})})
+
+
+def _load_data(cfg: dict, inputs: list[Path]):
+    """Seed, contributors and test sample (x, y or None) of a config that
+    reads or generates them; files read are appended to ``inputs``."""
+    _required(cfg, "seed", "contributors", "test")
+    seed, entry, test = cfg["seed"], cfg["contributors"], cfg["test"]
     if isinstance(entry, str):
-        path = Path(entry)
-        x, y = read_samples(path)
-        inputs.append(path)
-        return x, y
-    if not isinstance(entry, dict):
-        raise ConfigError("'test' must be a CSV path or an object")
-    _check_keys(entry, _TEST_GEN_KEYS, "config section 'test'")
-    mixture = _mixture_spec(entry.get("mixture", {}), "config section 'test.mixture'")
-    test = make_contributors(
-        [(int(entry.get("size", 200)), 0)],
-        mixture,
-        int(entry.get("feature_dim", 8)),
-        int(entry.get("seed", derive_seed(seed, "cli-test"))),
-        float(entry.get("noise_scale", 0.1)),
-    )[0]
-    return test.real_x, test.real_y
-
-
-def _valuation_config(cfg: dict, seed: int) -> ValuationConfig:
-    weights_obj = _section(cfg, "weights", {"w1", "w2", "w3", "w4"})
-    weights = ValuationWeights(
-        w1=float(weights_obj.get("w1", 1.0)),
-        w2=float(weights_obj.get("w2", 1.0)),
-        w3=float(weights_obj.get("w3", 1.0)),
-        w4=float(weights_obj.get("w4", 1.0)),
-    )
-    scales = cfg.get("kernel_scales")
-    kwargs = {}
-    if scales is not None:
-        kwargs["kernel_scales"] = _reals(scales, "kernel_scales")
-    caps = {}
-    for key in ("ntk_cap", "mmd_cap", "test_cap"):
-        if key in cfg:
-            caps[key] = None if cfg[key] is None else _integer(cfg[key], key)
-    ridge = cfg.get("ridge")
-    return ValuationConfig(
-        weights=weights,
-        estimator=cfg.get("estimator", "biased"),
-        ridge=None if ridge is None else _real(ridge, "ridge"),
-        seed=seed,
-        **kwargs,
-        **caps,
-    )
-
-
-def _training_config(cfg: dict, seed: int) -> TrainingConfig:
-    obj = _section(
-        cfg,
-        "training",
-        {"lr_scale", "lr_cap", "tol", "max_epochs", "eigen_cap", "metric", "restarts"},
-    )
-    return TrainingConfig(
-        lr_scale=float(obj.get("lr_scale", 0.1)),
-        lr_cap=float(obj.get("lr_cap", 0.5)),
-        tol=float(obj.get("tol", 1e-6)),
-        max_epochs=int(obj.get("max_epochs", 5000)),
-        eigen_cap=int(obj.get("eigen_cap", 256)),
-        metric=obj.get("metric", "accuracy"),
-        restarts=int(obj.get("restarts", 1)),
-        seed=seed,
-    )
+        contributors = read_contributors(Path(entry))
+        inputs.extend(sorted(Path(entry).glob("*.csv")))
+    elif entry.get("plan") and all(len(pair) == 2 for pair in entry["plan"]):
+        contributors = _generate(entry, entry["plan"], derive_seed(seed, "cli-contributors"))
+    else:
+        raise ConfigError("generated contributors need a 'plan' of [real, synth] pairs")
+    if isinstance(test, str):
+        test_x, test_y = read_samples(Path(test))
+        inputs.append(Path(test))
+    else:
+        [c] = _generate(test, [(test.get("size", 200), 0)], derive_seed(seed, "cli-test"))
+        test_x, test_y = c.real_x, c.real_y
+    return seed, contributors, test_x, test_y
 
 
 # ---------------------------------------------------------------------------
 # Subcommand runners.  Each returns a RunResult; main() wraps them with
-# config loading, digests and the manifest.
+# config loading, digests and the manifest.  A runner's docstring is its
+# help text.
 
 
 @dataclass
@@ -368,45 +359,36 @@ class RunResult:
     notes: dict = field(default_factory=dict)
 
 
-_SIMULATE_KEYS = {
-    "seed", "params", "pi", "pi_grid", "n_min", "n_max",
-    "points_per_decade", "smooth_window", "min_curvature",
+_BREAKPOINTS = {"smooth_window": _integer, "min_curvature": _real}
+_SIMULATE = {
+    "seed": _integer,
+    "params": _object({
+        "a": _real, "alpha": _real, "b": _real, "lam": _real, "beta": _real,
+        "cutoff": _integer, "support_max": _integer,
+    }),
+    "pi": _real, "pi_grid": _list(_real), "n_min": _real, "n_max": _real,
+    "points_per_decade": _integer, **_BREAKPOINTS,
 }
-_PARAM_KEYS = {"a", "alpha", "b", "lam", "beta", "cutoff", "support_max"}
 
 
 def run_simulate(cfg: dict, out: Path) -> RunResult:
-    _check_keys(cfg, _SIMULATE_KEYS, "config")
-    p = _section(cfg, "params", _PARAM_KEYS)
+    """scaling-law curves and breakpoint reports"""
+    cfg = _read(cfg, _SIMULATE)
     if "pi" in cfg and "pi_grid" in cfg:
         raise ConfigError("give either 'pi' or 'pi_grid', not both")
-    pi_key = "pi_grid" if "pi_grid" in cfg else "pi"
-    pis = cfg.get(pi_key, 0.5)
-    if not isinstance(pis, list):
-        pis = [pis]
+    pis = cfg.get("pi_grid", (cfg.get("pi", 0.5),))
     if not pis:
         raise ConfigError("'pi_grid' must not be empty")
-    pis = [_real(pi, pi_key) for pi in pis]
     grid = log_grid(
-        _real(cfg.get("n_min", 1e2), "n_min"),
-        _real(cfg.get("n_max", 1e6), "n_max"),
-        _integer(cfg.get("points_per_decade", 24), "points_per_decade"),
+        cfg.get("n_min", 1e2), cfg.get("n_max", 1e6), cfg.get("points_per_decade", 24)
     )
-    smooth_window = _integer(cfg.get("smooth_window", 5), "smooth_window")
-    min_curvature = _real(cfg.get("min_curvature", 0.02), "min_curvature")
+    params = {
+        "a": 1.0, "alpha": 0.5, "b": 1.0, "lam": 1.0, "beta": 1.5, "cutoff": 100,
+        **cfg.get("params", {}),
+    }
     result = RunResult()
     for pi in pis:
-        params = ScalingParams(
-            a=_real(p.get("a", 1.0), "a"),
-            alpha=_real(p.get("alpha", 0.5), "alpha"),
-            b=_real(p.get("b", 1.0), "b"),
-            lam=_real(p.get("lam", 1.0), "lam"),
-            beta=_real(p.get("beta", 1.5), "beta"),
-            cutoff=_integer(p.get("cutoff", 100), "cutoff"),
-            pi=pi,
-            support_max=_integer(p.get("support_max", 100_000), "support_max"),
-        )
-        curve = sweep(params, grid)
+        curve = sweep(ScalingParams(pi=pi, **params), grid)
         labels = curve.phase_labels()
         tag = f"{pi:g}".replace(".", "p")
         curve_path = out / f"curve_pi{tag}.csv"
@@ -415,9 +397,7 @@ def run_simulate(cfg: dict, out: Path) -> RunResult:
             ("n", "error", "phase_label"),
             zip(curve.sample_sizes.tolist(), curve.errors.tolist(), labels),
         )
-        report = detect_breakpoints(
-            curve, smooth_window=smooth_window, min_curvature=min_curvature
-        )
+        report = detect_breakpoints(curve, **_given(cfg, _BREAKPOINTS))
         report_path = out / f"breakpoints_pi{tag}.json"
         payload = {"pi": pi, **report.to_dict()}
         _write_json(report_path, payload)
@@ -425,29 +405,29 @@ def run_simulate(cfg: dict, out: Path) -> RunResult:
     return result
 
 
-_DISCREPANCY_KEYS = {"seed", "x", "y", "estimator", "scales", "bandwidths", "weights"}
+_DISCREPANCY = {
+    "seed": _integer, "x": _string, "y": _string, "estimator": _string,
+    "scales": _list(_real), "bandwidths": _list(_real), "weights": _list(_real),
+}
 
 
 def run_discrepancy(cfg: dict, out: Path) -> RunResult:
-    _check_keys(cfg, _DISCREPANCY_KEYS, "config")
+    """multi-kernel MMD between two sample files"""
+    cfg = _read(cfg, _DISCREPANCY)
+    _required(cfg, "x", "y")
+    if "bandwidths" in cfg and "scales" in cfg:
+        raise ConfigError("give either 'bandwidths' or 'scales', not both")
+    if "weights" in cfg and "bandwidths" not in cfg:
+        raise ConfigError("'weights' needs 'bandwidths': a median-heuristic bank is uniform")
     result = RunResult()
-    for key in ("x", "y"):
-        if not isinstance(cfg.get(key), str):
-            raise ConfigError(f"'{key}' must be a CSV path")
     x, _ = read_samples(Path(cfg["x"]))
     y, _ = read_samples(Path(cfg["y"]))
     result.inputs += [Path(cfg["x"]), Path(cfg["y"])]
     if "bandwidths" in cfg:
-        spec = MultiKernelSpec.from_bandwidths(
-            _reals(cfg["bandwidths"], "bandwidths"),
-            None if "weights" not in cfg else _reals(cfg["weights"], "weights"),
-        )
+        spec = MultiKernelSpec.from_bandwidths(cfg["bandwidths"], cfg.get("weights"))
     else:
-        scales = cfg.get("scales")
-        kwargs = {} if scales is None else {"scales": _reals(scales, "scales")}
-        spec = MultiKernelSpec.median_bank(x, y, **kwargs)
-    estimator = cfg.get("estimator", "biased")
-    estimate = mmd(x, y, spec, estimator)
+        spec = MultiKernelSpec.median_bank(x, y, **_given(cfg, ("scales",)))
+    estimate = mmd(x, y, spec, **_given(cfg, ("estimator",)))
     path = out / "discrepancy.json"
     _write_json(
         path,
@@ -465,22 +445,24 @@ def run_discrepancy(cfg: dict, out: Path) -> RunResult:
     return result
 
 
-_GRAM_KEYS = {"seed", "model", "samples", "ridge"}
+_GRAM = {
+    "seed": _integer, "model": _object(_MODEL), "samples": _string,
+    "ridge": _optional(_real),
+}
 
 
 def run_gram(cfg: dict, out: Path) -> RunResult:
-    _check_keys(cfg, _GRAM_KEYS, "config")
-    if not isinstance(cfg.get("samples"), str):
-        raise ConfigError("'samples' must be a CSV path")
+    """tangent-kernel Gram matrix and bound term"""
+    cfg = _read(cfg, _GRAM)
+    _required(cfg, "samples")
     result = RunResult()
     path = Path(cfg["samples"])
     x, y = read_samples(path)
     result.inputs.append(path)
-    spec = _model_spec(cfg.get("model"), x.shape[1])
+    spec = _model_spec(cfg, x.shape[1])
     params = init_params(spec)
     gram = ntk_gram(spec, params, x)
-    ridge = cfg.get("ridge")
-    ridge = default_ridge(gram) if ridge is None else _real(ridge, "ridge")
+    ridge = default_ridge(gram) if cfg.get("ridge") is None else cfg["ridge"]
     gram_path = out / "gram.csv"
     _write_csv(
         gram_path,
@@ -503,10 +485,7 @@ def run_gram(cfg: dict, out: Path) -> RunResult:
     return result
 
 
-_VALUE_KEYS = {
-    "seed", "contributors", "test", "model", "weights", "estimator",
-    "kernel_scales", "ntk_cap", "mmd_cap", "test_cap", "ridge", "fit_weights",
-}
+_VALUE = {**_DATA, "weights": _object(_WEIGHTS), **_VALUATION, "fit_weights": _boolean}
 
 
 def _scores_rows(scores):
@@ -529,18 +508,19 @@ _SCORES_HEADER = (
 
 
 def _prepare_value(cfg: dict, result: RunResult):
-    seed = _require_seed(cfg)
-    if "contributors" not in cfg or "test" not in cfg:
-        raise ConfigError("config needs 'contributors' and 'test'")
-    contributors = _load_contributor_entry(cfg["contributors"], seed, result.inputs)
-    test_x, _ = _load_test_entry(cfg["test"], seed, result.inputs)
-    vcfg = _valuation_config(cfg, seed)
-    model = Model.at_init(_model_spec(cfg.get("model"), test_x.shape[1]))
+    seed, contributors, test_x, _ = _load_data(cfg, result.inputs)
+    vcfg = ValuationConfig(
+        weights=ValuationWeights(**cfg.get("weights", {})),
+        seed=seed,
+        **_given(cfg, _VALUATION),
+    )
+    model = Model.at_init(_model_spec(cfg, test_x.shape[1]))
     return contributors, test_x, model, vcfg
 
 
 def run_value(cfg: dict, out: Path) -> RunResult:
-    _check_keys(cfg, _VALUE_KEYS, "config")
+    """score contributors against a test sample"""
+    cfg = _read(cfg, _VALUE)
     result = RunResult()
     contributors, test_x, model, vcfg = _prepare_value(cfg, result)
     scores, failures = score_all(contributors, test_x, model, vcfg, workers=_workers())
@@ -571,16 +551,17 @@ def run_value(cfg: dict, out: Path) -> RunResult:
     return result
 
 
-_MARGINAL_KEYS = _VALUE_KEYS | {"weighting", "permutations"}
+_MARGINAL = {**_VALUE, "weighting": _string, "permutations": _integer}
 
 
 def run_marginal(cfg: dict, out: Path) -> RunResult:
-    _check_keys(cfg, _MARGINAL_KEYS, "config")
+    """Shapley or leave-one-out marginal values"""
+    cfg = _read(cfg, _MARGINAL)
     result = RunResult()
     contributors, test_x, model, vcfg = _prepare_value(cfg, result)
     weighting = CoalitionWeighting(
         kind=cfg.get("weighting", "shapley"),
-        mc_permutations=int(cfg.get("permutations", 0)),
+        **({"mc_permutations": cfg["permutations"]} if "permutations" in cfg else {}),
     )
     report = marginal_values(contributors, weighting, test_x, model, vcfg)
     marginal_path = out / "marginal.csv"
@@ -603,24 +584,21 @@ def run_marginal(cfg: dict, out: Path) -> RunResult:
     return result
 
 
-_GROUNDTRUTH_KEYS = {"seed", "contributors", "test", "model", "training"}
+_GROUNDTRUTH = {**_DATA, "training": _object(_TRAINING)}
 
 
 def run_groundtruth(cfg: dict, out: Path) -> RunResult:
-    _check_keys(cfg, _GROUNDTRUTH_KEYS, "config")
+    """retrain per contributor, record test metrics"""
+    cfg = _read(cfg, _GROUNDTRUTH)
     result = RunResult()
-    seed = _require_seed(cfg)
-    if "contributors" not in cfg or "test" not in cfg:
-        raise ConfigError("config needs 'contributors' and 'test'")
-    contributors = _load_contributor_entry(cfg["contributors"], seed, result.inputs)
-    test_x, test_y = _load_test_entry(cfg["test"], seed, result.inputs)
+    seed, contributors, test_x, test_y = _load_data(cfg, result.inputs)
     if test_y is None:
         raise DomainError("ground truth needs a labeled test file (contributor-row schema)")
     if not contributors:
         raise DomainError("no contributors found")
     dim = contributors[0].pooled_x().shape[1]
-    spec = _model_spec(cfg.get("model"), dim)
-    tcfg = _training_config(cfg, seed)
+    spec = _model_spec(cfg, dim)
+    tcfg = TrainingConfig(seed=seed, **cfg.get("training", {}))
     truths = train_ground_truth(
         contributors, spec, tcfg, test_x, test_y, workers=_workers()
     )
@@ -637,57 +615,58 @@ def run_groundtruth(cfg: dict, out: Path) -> RunResult:
     return result
 
 
-_EVALUATE_KEYS = {"seed", "scores", "groundtruth"}
+def _read_table(path: Path, what: str, parse) -> list:
+    """``parse(row)`` of each row of a CSV file with a header, rows as dicts.
 
-
-def _read_scores_csv(path: Path) -> dict[str, float]:
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            rows = list(reader)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scores {path}: {exc}") from exc
-    if not rows:
-        raise DomainError(f"score file {path} has no rows")
-    value_col = None
-    for candidate in ("total", "value", "test_metric"):
-        if candidate in rows[0]:
-            value_col = candidate
-            break
-    if value_col is None or "contributor_id" not in rows[0]:
-        raise DomainError(
-            f"score file {path} needs 'contributor_id' and one of total/value/test_metric"
-        )
-    return {r["contributor_id"]: float(r[value_col]) for r in rows}
-
-
-def _read_groundtruth_csv(path: Path) -> list[GroundTruth]:
+    An unreadable file is a ``ConfigError``.  An empty file, a row whose
+    cells do not match the header, and a cell or column ``parse`` cannot
+    read are a ``DomainError`` naming the file.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
     except OSError as exc:
-        raise ConfigError(f"cannot read ground truth {path}: {exc}") from exc
-    if not rows:
-        raise DomainError(f"ground-truth file {path} has no rows")
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        return [
-            GroundTruth(
-                contributor_id=r["contributor_id"],
-                test_metric=float(r["test_metric"]),
-                config_digest=r.get("config_digest", ""),
-                diverged=bool(int(r.get("diverged", "0"))),
-            )
-            for r in rows
-        ]
+        if not rows:
+            raise ValueError("no rows")
+        if any(None in row or None in row.values() for row in rows):
+            raise ValueError("a row's cells do not match the header")
+        return [parse(row) for row in rows]
     except (KeyError, ValueError) as exc:
-        raise DomainError(f"ground-truth file {path} is malformed: {exc}") from exc
+        raise DomainError(f"{what} file {path} is malformed: {exc}") from exc
+
+
+def _read_scores_csv(path: Path) -> dict[str, float]:
+    def parse(row):
+        column = next((c for c in ("total", "value", "test_metric") if c in row), None)
+        if column is None or "contributor_id" not in row:
+            raise ValueError("it needs 'contributor_id' and one of total/value/test_metric")
+        return row["contributor_id"], float(row[column])
+
+    return dict(_read_table(path, "score", parse))
+
+
+def _read_groundtruth_csv(path: Path) -> list[GroundTruth]:
+    return _read_table(
+        path,
+        "ground-truth",
+        lambda row: GroundTruth(
+            contributor_id=row["contributor_id"],
+            test_metric=float(row["test_metric"]),
+            config_digest=row.get("config_digest", ""),
+            diverged=bool(int(row.get("diverged", "0"))),
+        ),
+    )
+
+
+_EVALUATE = {"seed": _integer, "scores": _string, "groundtruth": _string}
 
 
 def run_evaluate(cfg: dict, out: Path) -> RunResult:
-    _check_keys(cfg, _EVALUATE_KEYS, "config")
-    for key in ("scores", "groundtruth"):
-        if not isinstance(cfg.get(key), str):
-            raise ConfigError(f"'{key}' must be a CSV path")
+    """correlate scores with ground truth"""
+    cfg = _read(cfg, _EVALUATE)
+    _required(cfg, "scores", "groundtruth")
     result = RunResult()
     scores_path, gt_path = Path(cfg["scores"]), Path(cfg["groundtruth"])
     scores = _read_scores_csv(scores_path)
@@ -712,31 +691,34 @@ def run_evaluate(cfg: dict, out: Path) -> RunResult:
     return result
 
 
-_BENCH_KEYS = {
-    "seed", "n_contributors", "samples_each", "feature_dim", "test_size",
-    "shift", "model", "training",
+_BENCH = {
+    "seed": _integer, "n_contributors": _integer, "samples_each": _integer,
+    "feature_dim": _integer, "test_size": _integer, "shift": _real,
+    "model": _object(_MODEL), "training": _object(_TRAINING),
 }
 
 
 def run_bench(cfg: dict, out: Path) -> RunResult:
-    _check_keys(cfg, _BENCH_KEYS, "config")
-    seed = _require_seed(cfg)
-    n = int(cfg.get("n_contributors", 100))
+    """time valuation against retraining"""
+    cfg = _read(cfg, _BENCH)
+    _required(cfg, "seed")
+    seed = cfg["seed"]
+    n = cfg.get("n_contributors", 100)
     if n < 1:
         raise ConfigError(f"n_contributors must be >= 1, got {n}")
-    feature_dim = int(cfg.get("feature_dim", 8))
+    feature_dim = cfg.get("feature_dim", 8)
     fixture = make_shift_fixture(
         pis=[round(float(p), 6) for p in np.linspace(1.0, 0.0, n)],
-        samples_each=int(cfg.get("samples_each", 24)),
+        samples_each=cfg.get("samples_each", 24),
         feature_dim=feature_dim,
-        shift=float(cfg.get("shift", 1.0)),
-        test_size=int(cfg.get("test_size", 60)),
+        shift=cfg.get("shift", 1.0),
+        test_size=cfg.get("test_size", 60),
         seed=seed,
     )
-    spec = _model_spec(cfg.get("model"), feature_dim)
+    spec = _model_spec(cfg, feature_dim)
     model = Model.at_init(spec)
     vcfg = ValuationConfig(seed=seed)
-    tcfg = _training_config(cfg, seed)
+    tcfg = TrainingConfig(seed=seed, **cfg.get("training", {}))
     workers = _workers()
 
     def run_valuation():
@@ -812,17 +794,8 @@ def _build_parser() -> argparse.ArgumentParser:
     version = " ".join(f"{k}={v}" for k, v in _versions().items())
     parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("simulate", "scaling-law curves and breakpoint reports"),
-        ("discrepancy", "multi-kernel MMD between two sample files"),
-        ("gram", "tangent-kernel Gram matrix and bound term"),
-        ("value", "score contributors against a test sample"),
-        ("marginal", "Shapley or leave-one-out marginal values"),
-        ("groundtruth", "retrain per contributor, record test metrics"),
-        ("evaluate", "correlate scores with ground truth"),
-        ("bench", "time valuation against retraining"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, runner in _RUNNERS.items():
+        p = sub.add_parser(name, help=runner.__doc__)
         p.add_argument("--config", required=True, type=Path, help="JSON config path")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -843,13 +816,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         cfg = _load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.subcommand == "marginal":
-            if args.weighting is not None:
-                cfg["weighting"] = args.weighting
-            if args.permutations is not None:
-                cfg["permutations"] = args.permutations
+        for key in ("seed", "weighting", "permutations"):  # flags override the config
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
         result = _RUNNERS[args.subcommand](cfg, args.out)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)

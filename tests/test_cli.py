@@ -1,6 +1,7 @@
 """Command-line interface: configs, outputs, exit codes, reproducibility."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,7 +10,10 @@ import pytest
 
 from mixval import cli
 from mixval.errors import DomainError, NumericalError
+from mixval.evalharness import TrainingConfig
 from mixval.longtail import make_contributors, write_contributors
+from mixval.ntk import MLPSpec
+from mixval.valuation import ValuationConfig, ValuationWeights
 
 from conftest import small_mixture
 
@@ -37,6 +41,28 @@ def value_payload(seed: int = 3) -> dict:
         "contributors": {"plan": [[6, 4], [5, 5], [8, 2]], "feature_dim": 4},
         "test": {"size": 12, "feature_dim": 4},
         "model": {"layer_widths": [4, 8, 1]},
+    }
+
+
+def groundtruth_payload() -> dict:
+    return {
+        "seed": 5,
+        "contributors": {"plan": [[10, 2], [6, 6], [2, 10]], "feature_dim": 4},
+        "test": {"size": 16, "feature_dim": 4},
+        "model": {"layer_widths": [4, 8, 1]},
+        "training": {"max_epochs": 300, "metric": "one_minus_loss"},
+    }
+
+
+def bench_payload() -> dict:
+    return {
+        "seed": 1,
+        "n_contributors": 3,
+        "samples_each": 8,
+        "feature_dim": 4,
+        "test_size": 10,
+        "model": {"layer_widths": [4, 4, 1]},
+        "training": {"max_epochs": 50},
     }
 
 
@@ -108,9 +134,39 @@ def edited_payload(tmp_path: Path, command: str, updates: dict) -> dict:
         x.write_text("f0,f1\n0.0,0.0\n1.0,0.5\n", encoding="utf-8")
         y.write_text("f0,f1\n1.0,1.0\n2.0,0.1\n", encoding="utf-8")
         payload = {"x": str(x), "y": str(y)}
+    elif command == "gram":
+        [c] = make_contributors([(6, 3)], small_mixture(), feature_dim=4, seed=31)
+        [samples] = write_contributors([c], str(tmp_path / "samples"))
+        payload = {"model": {"layer_widths": [4, 6, 1]}, "samples": samples}
+    elif command == "evaluate":
+        scores = tmp_path / "scores.csv"
+        truth = tmp_path / "gt.csv"
+        scores.write_text("contributor_id,total\na,0.5\nb,0.6\nc,0.1\n", encoding="utf-8")
+        truth.write_text(
+            "contributor_id,test_metric,config_digest,diverged\n"
+            "a,0.9,d,0\nb,0.7,d,0\nc,0.2,d,0\n",
+            encoding="utf-8",
+        )
+        payload = {"scores": str(scores), "groundtruth": str(truth)}
     else:
-        payload = {"simulate": simulate_payload, "value": value_payload}[command]()
+        payload = {
+            "simulate": simulate_payload,
+            "value": value_payload,
+            "marginal": value_payload,
+            "groundtruth": groundtruth_payload,
+            "bench": bench_payload,
+        }[command]()
     return {**payload, **updates}
+
+
+@pytest.mark.parametrize("command", list(cli._RUNNERS))
+def test_every_subcommand_runs_its_base_config(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "cfg.json", edited_payload(tmp_path, command, {}))
+    code, manifest, err = run_cli(
+        capsys, command, "--config", str(cfg), "--out", str(tmp_path / "out")
+    )
+    assert code == 0, err
+    assert manifest["subcommand"] == command
 
 
 @pytest.mark.parametrize(
@@ -125,6 +181,22 @@ def edited_payload(tmp_path: Path, command: str, updates: dict) -> dict:
         ("discrepancy", {"bandwidths": ["a"]}, "bandwidths"),
         ("discrepancy", {"bandwidths": [1.0, 2.0], "weights": ["a", 1.0]}, "weights"),
         ("discrepancy", {"scales": 2.0}, "scales"),
+        ("value", {"contributors": {"plan": [[6, 4]], "feature_dim": "x"}},
+         "contributors.feature_dim"),
+        ("value", {"contributors": {"plan": [[6.7, 4]]}}, "contributors.plan"),
+        ("value", {"model": {"layer_widths": [4, 8.9, 1]}}, "model.layer_widths"),
+        ("gram", {"model": {"init_seed": "a"}}, "model.init_seed"),
+        ("value", {"fit_weights": "no"}, "fit_weights"),
+        ("marginal", {"permutations": 2.5}, "permutations"),
+        ("groundtruth", {"training": {"max_epochs": 3.9}}, "training.max_epochs"),
+        ("bench", {"n_contributors": 2.5}, "n_contributors"),
+        ("discrepancy", {"estimator": 5}, "estimator"),
+        ("evaluate", {"scores": 5}, "scores"),
+        ("value", {"contributors": {"plan": [[6, 4, 1]]}}, "plan"),
+        ("value", {"contributors": {"plan": []}}, "plan"),
+        # keys the chosen kernel bank would ignore
+        ("discrepancy", {"weights": [0.9, 0.1]}, "weights"),
+        ("discrepancy", {"bandwidths": [1.0, 2.0], "scales": [1.0]}, "scales"),
     ],
 )
 def test_mistyped_number_exits_2(tmp_path, capsys, command, updates, key):
@@ -134,6 +206,30 @@ def test_mistyped_number_exits_2(tmp_path, capsys, command, updates, key):
     assert code == 2
     assert "error[config]" in err and key in err
     assert not out.exists()
+
+
+def test_null_ridge_is_default_and_null_cap_is_off(tmp_path, capsys):
+    def outputs(command: str, updates: dict, name: str) -> dict[str, bytes]:
+        cfg = write_config(tmp_path, f"{name}.json", edited_payload(tmp_path, command, updates))
+        out = tmp_path / name
+        assert run_cli(capsys, command, "--config", str(cfg), "--out", str(out))[0] == 0
+        return read_bytes_map(out)
+
+    assert outputs("gram", {"ridge": None}, "g1") == outputs("gram", {}, "g2")
+    assert outputs("value", {"ridge": None}, "v1") == outputs("value", {}, "v2")
+    uncapped = outputs("value", {"ntk_cap": 10**6}, "v3")
+    assert outputs("value", {"ntk_cap": None}, "v4") == uncapped
+    assert outputs("value", {"ntk_cap": 4}, "v5") != uncapped
+
+
+def test_config_schemas_match_library_fields():
+    def names(cls, *skip: str) -> set[str]:
+        return {f.name for f in dataclasses.fields(cls)} - set(skip)
+
+    assert set(cli._TRAINING) == names(TrainingConfig, "seed")
+    assert set(cli._WEIGHTS) == names(ValuationWeights)
+    assert set(cli._MODEL) == names(MLPSpec)
+    assert set(cli._VALUATION) == names(ValuationConfig, "seed", "weights")
 
 
 def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
@@ -198,6 +294,28 @@ def test_numerical_error_exits_4(tmp_path, capsys, monkeypatch):
         capsys, "gram", "--config", str(cfg), "--out", str(tmp_path / "out")
     )
     assert code == 4 and "error[numerical]" in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("scores.csv", "contributor_id,total\na,0.5\nb,abc\nc,0.1\n"),
+        ("scores.csv", "contributor_id,total\na,0.5\nb\nc,0.1\n"),
+        ("gt.csv", "contributor_id,test_metric,config_digest,diverged\n"
+                   "a,0.9,d,0\nb,abc,d,0\nc,0.2,d,0\n"),
+        ("gt.csv", "contributor_id,test_metric,config_digest,diverged\n"
+                   "a,0.9,d,0\nb,0.7\nc,0.2,d,0\n"),
+    ],
+    ids=["scores-cell", "scores-short-row", "groundtruth-cell", "groundtruth-short-row"],
+)
+def test_malformed_evaluate_input_exits_3(tmp_path, capsys, name, text):
+    cfg = write_config(tmp_path, "ev.json", edited_payload(tmp_path, "evaluate", {}))
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "evaluate", "--config", str(cfg), "--out", str(out))
+    assert code == 3
+    assert "error[domain]" in err and name in err
+    assert not out.exists()
 
 
 def test_failure_leaves_no_partial_files(tmp_path, capsys):
@@ -474,13 +592,7 @@ def test_gram_outputs(tmp_path, capsys):
 
 
 def test_groundtruth_then_evaluate(tmp_path, capsys):
-    gt_payload = {
-        "seed": 5,
-        "contributors": {"plan": [[10, 2], [6, 6], [2, 10]], "feature_dim": 4},
-        "test": {"size": 16, "feature_dim": 4},
-        "model": {"layer_widths": [4, 8, 1]},
-        "training": {"max_epochs": 300, "metric": "one_minus_loss"},
-    }
+    gt_payload = groundtruth_payload()
     gt_cfg = write_config(tmp_path, "gt.json", gt_payload)
     gt_out = tmp_path / "gt"
     code, _, _ = run_cli(capsys, "groundtruth", "--config", str(gt_cfg), "--out", str(gt_out))
