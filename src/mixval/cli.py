@@ -85,7 +85,8 @@ output columns (fixed order):
   scores CSV       contributor_id,loss_term,discrepancy_term,ntk_term,\
 composition_term,total,gradient_norm_bound
   marginal CSV     contributor_id,value,stderr
-  groundtruth CSV  contributor_id,test_metric,config_digest,diverged
+  groundtruth CSV  contributor_id,test_metric,config_digest,diverged,\
+epochs,converged
 environment:
   MIXVAL_THREADS   worker threads for per-contributor loops (default 1);
                    pays off only when each contributor's work is large
@@ -605,9 +606,10 @@ def run_groundtruth(cfg: dict, out: Path) -> RunResult:
     path = out / "groundtruth.csv"
     _write_csv(
         path,
-        ("contributor_id", "test_metric", "config_digest", "diverged"),
+        ("contributor_id", "test_metric", "config_digest", "diverged", "epochs", "converged"),
         (
-            (g.contributor_id, g.test_metric, g.config_digest, int(g.diverged))
+            (g.contributor_id, g.test_metric, g.config_digest, int(g.diverged),
+             g.epochs, g.converged)
             for g in truths
         ),
     )
@@ -656,6 +658,8 @@ def _read_groundtruth_csv(path: Path) -> list[GroundTruth]:
             test_metric=float(row["test_metric"]),
             config_digest=row.get("config_digest", ""),
             diverged=bool(int(row.get("diverged", "0"))),
+            epochs=int(row["epochs"]) if "epochs" in row else None,
+            converged=int(row["converged"]) if "converged" in row else None,
         ),
     )
 

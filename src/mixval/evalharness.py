@@ -24,7 +24,8 @@ import numpy as np
 from ._seeds import derive_seed, substream
 from .errors import DegenerateDataError, DomainError
 from .longtail import Contributor, MixtureSpec, make_contributors
-from .ntk import MLPSpec, Model, ParamVector, gradients, init_params, ntk_gram, predict
+from .ntk import MLPSpec, Model, ParamVector, _check_batch, backprop, init_params
+from .ntk import layer_outputs, ntk_gram
 from .valuation import ValuationScore, empirical_loss, mixture_loss
 
 log = logging.getLogger(__name__)
@@ -79,26 +80,46 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Retraining outcome for one contributor."""
+    """Retraining outcome for one contributor.
+
+    ``epochs`` is the largest epoch count over the restarts that ran and
+    ``converged`` the number of them that stopped on ``tol`` rather than
+    at ``max_epochs``; both are None when not recorded (a ground-truth
+    file written without those columns).
+    """
 
     contributor_id: str
     test_metric: float
     config_digest: str
     diverged: bool = False
+    epochs: int | None = None
+    converged: int | None = None
 
     def __post_init__(self) -> None:
         if not self.diverged and not 0.0 <= self.test_metric <= 1.0:
             raise DomainError(
                 f"test metric must be in [0, 1], got {self.test_metric}"
             )
+        if self.epochs is not None and self.epochs < 1:
+            raise DomainError(f"epochs must be >= 1, got {self.epochs}")
+        if self.converged is not None and self.converged < 0:
+            raise DomainError(f"converged must be >= 0, got {self.converged}")
 
 
 @dataclass(frozen=True)
 class TrainResult:
+    """Outcome of one ``train_model`` run.
+
+    ``converged`` is true when the loss change fell below ``tol``, false
+    when the run hit ``max_epochs`` or diverged; ``lr`` is its step size.
+    """
+
     model: Model
     epochs: int
     final_loss: float
     diverged: bool
+    converged: bool
+    lr: float
 
 
 def _learning_rate(
@@ -121,32 +142,39 @@ def _learning_rate(
 def train_model(
     x: np.ndarray, y: np.ndarray, spec: MLPSpec, config: TrainingConfig
 ) -> TrainResult:
-    """Train a fresh model by full-batch gradient descent on (f-y)^2/2."""
-    x = np.asarray(x, dtype=float)
+    """Train a fresh model by full-batch gradient descent on (f-y)^2/2.
+
+    Each epoch makes one forward pass, checks the loss, then runs one
+    ``ntk.backprop`` of the summed loss (delta = f'(logit) * residual)
+    and steps each layer's weights and bias in place, through the layer
+    views of the one parameter vector this run owns.
+    """
+    x = _check_batch(spec, x)
     y = np.asarray(y, dtype=float).ravel()
     if len(x) != len(y) or len(y) == 0:
         raise DomainError("training needs matching nonempty inputs and labels")
     params = init_params(spec)
-    values = params.values.copy()
     lr = _learning_rate(spec, params, x, config)
+    layers = params.layers()
+    model = Model(spec, params)
     n = len(y)
     prev = math.inf
     loss = math.inf
     epochs = 0
     for epochs in range(1, config.max_epochs + 1):
-        pv = ParamVector(values, params.weight_shapes)
-        f = predict(spec, pv, x)
-        resid = f - y
+        outputs = layer_outputs(spec, layers, x)
+        resid = outputs[-1][:, 0] - y
         loss = float(np.mean(resid**2) / 2.0)
         if not math.isfinite(loss) or loss > 1e6:
-            return TrainResult(Model(spec, pv), epochs, loss, diverged=True)
+            return TrainResult(model, epochs, loss, diverged=True, converged=False, lr=lr)
         if abs(prev - loss) < config.tol:
-            break
-        g = gradients(spec, pv, x)
-        values = values - lr * (g.T @ resid) / n
+            return TrainResult(model, epochs, loss, diverged=False, converged=True, lr=lr)
+        for li, delta, h_in in backprop(spec, layers, outputs, resid[:, None]):
+            w, b = layers[li]
+            w -= lr * (delta.T @ h_in) / n
+            b -= lr * delta.sum(axis=0) / n
         prev = loss
-    final = ParamVector(values, params.weight_shapes)
-    return TrainResult(Model(spec, final), epochs, loss, diverged=False)
+    return TrainResult(model, epochs, loss, diverged=False, converged=False, lr=lr)
 
 
 def accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
@@ -176,7 +204,8 @@ def train_ground_truth(
     Each contributor gets its own derived init seed, so results depend
     only on (data, id, spec, config), not on list order or worker
     count; workers > 1 retrains on a thread pool.  Diverged runs are
-    flagged and later excluded from correlations.
+    flagged and later excluded from correlations; their epoch counts
+    cover the restarts up to the one that diverged.
     """
     if not contributors:
         raise DomainError("need at least one contributor")
@@ -186,16 +215,19 @@ def train_ground_truth(
 
     def one(c: Contributor) -> GroundTruth:
         metrics = []
+        epochs = converged = 0
         for r in range(config.restarts):
             c_spec = replace(
                 spec, init_seed=derive_seed(config.seed, "gt-init", c.id, r)
             )
             result = train_model(c.pooled_x(), c.pooled_y(), c_spec, config)
+            epochs = max(epochs, result.epochs)
+            converged += result.converged
             if result.diverged:
                 log.warning("training diverged for contributor %s", c.id)
-                return GroundTruth(c.id, 0.0, digest, diverged=True)
+                return GroundTruth(c.id, 0.0, digest, True, epochs, converged)
             metrics.append(_metric(result.model, test_x, test_y, config.metric))
-        return GroundTruth(c.id, float(np.mean(metrics)), digest)
+        return GroundTruth(c.id, float(np.mean(metrics)), digest, False, epochs, converged)
 
     if workers == 1:
         return [one(c) for c in contributors]

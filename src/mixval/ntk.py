@@ -2,15 +2,20 @@
 
 A small MLP with smooth activations produces a scalar in [0, 1] (via a
 sigmoid squash on the final layer, so the boundedness assumptions of
-the generalization bound hold by construction).  Per-example parameter
-gradients are computed with analytic reverse-mode passes; their Gram
-matrix is the empirical NTK at the given parameters, and the bound term
-is the quadratic form sqrt(r' (Gram + ridge I)^-1 r / n).
+the generalization bound hold by construction).  One reverse pass,
+``backprop``, serves both per-example parameter gradients (each
+example's output weighted by 1) and the full-batch training step of
+``evalharness.train_model`` (outputs weighted by their residuals).  It
+takes every derivative from the forward pass's outputs, so nothing is
+recomputed from pre-activations.  The Gram matrix of the per-example
+gradients is the empirical NTK at the given parameters, and the bound
+term is the quadratic form sqrt(r' (Gram + ridge I)^-1 r / n).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,23 +28,20 @@ _INIT_STREAM = "ntk-init"
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # stable in both tails
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # stable in both tails: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z)
+    # below, with e = e^-|z| serving both sides without masked indexing
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-# name -> (map, derivative as a function of the pre-activation)
+# name -> (map, derivative as a function of the map's output)
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+    "tanh": (np.tanh, lambda h: 1.0 - h * h),
+    "identity": (lambda z: z, np.ones_like),
 }
 _SQUASHES = {
-    "sigmoid": (_sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+    "sigmoid": (_sigmoid, lambda f: f * (1.0 - f)),
+    "identity": (lambda z: z, np.ones_like),
 }
 
 
@@ -104,16 +106,28 @@ class ParamVector:
             )
 
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Unflatten into (weights, bias) per layer (views, do not mutate)."""
-        out = []
-        pos = 0
-        for o, i in self.weight_shapes:
-            w = self.values[pos : pos + o * i].reshape(o, i)
-            pos += o * i
-            b = self.values[pos : pos + o]
-            pos += o
-            out.append((w, b))
-        return out
+        """Unflatten into (weights, bias) per layer.
+
+        Views: writing through them writes ``values``.  Only the owner of
+        the vector may write, as ``evalharness.train_model`` does with the
+        fresh parameters it trains; everyone else only reads.
+        """
+        return _layer_views(self.values, self.weight_shapes)
+
+
+def _layer_views(flat: np.ndarray, weight_shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    # (weights, bias) views per layer into the last axis of flat, which
+    # holds the ParamVector layout: a vector, or one row per example
+    lead = flat.shape[:-1]
+    out = []
+    pos = 0
+    for o, i in weight_shapes:
+        w = flat[..., pos : pos + o * i].reshape(*lead, o, i)
+        pos += o * i
+        b = flat[..., pos : pos + o]
+        pos += o
+        out.append((w, b))
+    return out
 
 
 def init_params(spec: MLPSpec) -> ParamVector:
@@ -139,25 +153,54 @@ def _check_batch(spec: MLPSpec, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def _forward_batch(spec: MLPSpec, params: ParamVector, x: np.ndarray):
+def layer_outputs(
+    spec: MLPSpec, layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray
+) -> list[np.ndarray]:
+    """Forward pass over a checked batch: [x, h_1, ..., squashed output].
+
+    ``layers`` is ``ParamVector.layers()``; the last entry has shape
+    (n, 1).  ``backprop`` takes its derivatives from these outputs.
+    """
     act, _ = _ACTIVATIONS[spec.activation]
-    layers = params.layers()
-    h = x
-    pre, post = [], [x]
-    for li, (w, b) in enumerate(layers):
-        z = h @ w.T + b
-        pre.append(z)
-        h = act(z) if li < len(layers) - 1 else z
-        post.append(h)
-    return pre, post
+    squash, _ = _SQUASHES[spec.output_squash]
+    outputs = [x]
+    for w, b in layers[:-1]:
+        outputs.append(act(outputs[-1] @ w.T + b))
+    w, b = layers[-1]
+    outputs.append(squash(outputs[-1] @ w.T + b))
+    return outputs
+
+
+def backprop(
+    spec: MLPSpec,
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    outputs: list[np.ndarray],
+    weight: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Reverse pass of sum_i weight_i * f(x_i) from ``layer_outputs``.
+
+    ``weight`` has shape (n, 1): ones give per-example output
+    gradients, residuals give the gradient of the squared loss.  Yields
+    (layer index, delta, layer input) from the last layer to the first;
+    row i of delta (n, out) is weight_i times the derivative of f(x_i)
+    with respect to that layer's pre-activation, so example i adds
+    delta_i outer input_i to the weight gradient and delta_i to the bias
+    gradient.  The delta of the layer below is computed before a layer
+    is yielded, so the caller may update that layer's parameters in place.
+    """
+    _, dact = _ACTIVATIONS[spec.activation]
+    _, dsquash = _SQUASHES[spec.output_squash]
+    delta = dsquash(outputs[-1]) * weight
+    for li in range(len(layers) - 1, -1, -1):
+        below = (delta @ layers[li][0]) * dact(outputs[li]) if li else None
+        yield li, delta, outputs[li]
+        delta = below
 
 
 def predict(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
     """Model outputs for a batch (or single vector) of inputs."""
     xb = _check_batch(spec, x)
-    squash, _ = _SQUASHES[spec.output_squash]
-    _, post = _forward_batch(spec, params, xb)
-    return squash(post[-1][:, 0])
+    return layer_outputs(spec, params.layers(), xb)[-1][:, 0]
 
 
 def forward(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> float:
@@ -168,26 +211,20 @@ def forward(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> float:
 def gradients(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
     """Per-example gradients of the output w.r.t. all parameters.
 
-    Returns an (n, n_params) matrix in the ParamVector layout, via one
-    vectorized reverse pass over the batch.
+    Returns an (n, n_params) matrix in the ParamVector layout: one
+    ``backprop`` over the batch writes each layer's weight and bias
+    blocks into it in place.
     """
     xb = _check_batch(spec, x)
-    n = len(xb)
     layers = params.layers()
-    _, dact = _ACTIVATIONS[spec.activation]
-    _, dsquash = _SQUASHES[spec.output_squash]
-    pre, post = _forward_batch(spec, params, xb)
-
-    delta = dsquash(pre[-1])  # (n, 1): d f / d logit
-    grads: list[np.ndarray | None] = [None] * len(layers)
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        h_in = post[li]
-        gw = np.einsum("no,ni->noi", delta, h_in).reshape(n, -1)
-        grads[li] = np.hstack([gw, delta])
-        if li > 0:
-            delta = (delta @ w) * dact(pre[li - 1])
-    return np.hstack(grads)
+    outputs = layer_outputs(spec, layers, xb)
+    g = np.empty((len(xb), len(params.values)))
+    blocks = _layer_views(g, params.weight_shapes)
+    for li, delta, h_in in backprop(spec, layers, outputs, np.ones((len(xb), 1))):
+        gw, gb = blocks[li]
+        np.multiply(delta[:, :, None], h_in[:, None, :], out=gw)
+        gb[...] = delta
+    return g
 
 
 def per_example_gradient(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:

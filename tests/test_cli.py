@@ -305,8 +305,11 @@ def test_numerical_error_exits_4(tmp_path, capsys, monkeypatch):
                    "a,0.9,d,0\nb,abc,d,0\nc,0.2,d,0\n"),
         ("gt.csv", "contributor_id,test_metric,config_digest,diverged\n"
                    "a,0.9,d,0\nb,0.7\nc,0.2,d,0\n"),
+        ("gt.csv", "contributor_id,test_metric,config_digest,diverged,epochs,converged\n"
+                   "a,0.9,d,0,40,1\nb,0.7,d,0,x,1\nc,0.2,d,0,40,1\n"),
     ],
-    ids=["scores-cell", "scores-short-row", "groundtruth-cell", "groundtruth-short-row"],
+    ids=["scores-cell", "scores-short-row", "groundtruth-cell", "groundtruth-short-row",
+         "groundtruth-epochs-cell"],
 )
 def test_malformed_evaluate_input_exits_3(tmp_path, capsys, name, text):
     cfg = write_config(tmp_path, "ev.json", edited_payload(tmp_path, "evaluate", {}))
@@ -599,9 +602,16 @@ def test_groundtruth_then_evaluate(tmp_path, capsys):
     assert code == 0
     with open(gt_out / "groundtruth.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
+    assert list(rows[0]) == [
+        "contributor_id", "test_metric", "config_digest", "diverged", "epochs", "converged",
+    ]
     assert [r["contributor_id"] for r in rows] == ["c000", "c001", "c002"]
     assert all(0.0 <= float(r["test_metric"]) <= 1.0 for r in rows)
     assert all(r["diverged"] == "0" for r in rows)
+    # one restart each: it stopped on tol or at the 300-epoch cap
+    for r in rows:
+        assert r["converged"] == "1" or (r["converged"], r["epochs"]) == ("0", "300")
+        assert 1 <= int(r["epochs"]) <= 300
 
     val_cfg = write_config(tmp_path, "val.json", {**value_payload(seed=5),
                                                   "contributors": gt_payload["contributors"],
@@ -626,6 +636,21 @@ def test_groundtruth_then_evaluate(tmp_path, capsys):
     assert payload["positive"]["spearman"] == -payload["negative"]["spearman"]
     # score and ground-truth files enter the manifest as digested inputs
     assert str(val_out / "scores.csv") in manifest["inputs"]
+
+    # a ground-truth file without the epochs/converged columns reads the same
+    short = tmp_path / "gt4.csv"
+    short.write_text(
+        "".join(",".join(line.split(",")[:4]) + "\n"
+                for line in (gt_out / "groundtruth.csv").read_text().splitlines()),
+        encoding="utf-8",
+    )
+    ev4_cfg = write_config(
+        tmp_path, "ev4.json",
+        {"scores": str(val_out / "scores.csv"), "groundtruth": str(short)},
+    )
+    ev4_out = tmp_path / "ev4"
+    assert run_cli(capsys, "evaluate", "--config", str(ev4_cfg), "--out", str(ev4_out))[0] == 0
+    assert (ev4_out / "correlation.json").read_bytes() == (ev_out / "correlation.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

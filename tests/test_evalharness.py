@@ -1,6 +1,7 @@
 """Retraining ground truth, correlation estimators, and fixtures."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from mixval.evalharness import (
     train_ground_truth,
     train_model,
 )
+from mixval._seeds import derive_seed
+from mixval.evalharness import _learning_rate
 from mixval.longtail import make_contributors
-from mixval.ntk import MLPSpec, Model, ParamVector
+from mixval.ntk import MLPSpec, Model, ParamVector, gradients, init_params, predict
 from mixval.valuation import ValuationScore, ValuationWeights, empirical_loss
 
 from conftest import small_mixture
@@ -58,6 +61,11 @@ def test_ground_truth_validation():
         GroundTruth("c0", 1.2, "abc")
     # a diverged record may carry an out-of-range placeholder
     assert GroundTruth("c0", 0.0, "abc", diverged=True).diverged
+    with pytest.raises(DomainError):
+        GroundTruth("c0", 0.5, "abc", epochs=0)
+    with pytest.raises(DomainError):
+        GroundTruth("c0", 0.5, "abc", epochs=10, converged=-1)
+    assert GroundTruth("c0", 0.5, "abc").epochs is None
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +102,8 @@ def test_train_model_flags_divergence():
     spec = MLPSpec(layer_widths=(2, 4, 1), output_squash="identity")
     config = TrainingConfig(lr_scale=1e12, lr_cap=1e12, max_epochs=50)
     result = train_model(x, y, spec, config)
-    assert result.diverged
+    assert result.diverged and not result.converged and result.epochs < 50
+    assert result.lr == _learning_rate(spec, init_params(spec), x, config)
 
 
 def test_train_model_validation():
@@ -103,6 +112,73 @@ def test_train_model_validation():
         train_model(np.zeros((0, 2)), np.zeros(0), spec, TrainingConfig())
     with pytest.raises(DomainError):
         train_model(np.zeros((3, 2)), np.zeros(2), spec, TrainingConfig())
+    with pytest.raises(DomainError, match="features"):
+        train_model(np.zeros((3, 3)), np.zeros(3), spec, TrainingConfig())
+
+
+def reference_training(x, y, spec, config):
+    """Gradient descent the way train_model ran it before its fused step: a
+    predict and a per-example gradients pass every epoch, stepping a fresh
+    copy of the whole parameter vector.  Returns (epochs, loss, converged,
+    parameter values)."""
+    params = init_params(spec)
+    values = params.values.copy()
+    lr = _learning_rate(spec, params, x, config)
+    prev = loss = math.inf
+    for epochs in range(1, config.max_epochs + 1):
+        pv = ParamVector(values, params.weight_shapes)
+        resid = predict(spec, pv, x) - y
+        loss = float(np.mean(resid**2) / 2.0)
+        if abs(prev - loss) < config.tol:
+            return epochs, loss, True, values
+        values = values - lr * (gradients(spec, pv, x).T @ resid) / len(y)
+        prev = loss
+    return epochs, loss, False, values
+
+
+def training_case(widths, activation="tanh", squash="sigmoid", n=30, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, widths[0]))
+    y = np.clip(0.5 + 0.3 * np.tanh(x[:, 0] - x[:, -1]), 0.0, 1.0)
+    spec = MLPSpec(widths, activation=activation, output_squash=squash, init_seed=seed)
+    return x, y, spec
+
+
+@pytest.mark.parametrize("widths", [(2, 8, 1), (3, 5, 4, 1)])
+@pytest.mark.parametrize("activation, squash", [("tanh", "sigmoid"), ("identity", "identity")])
+def test_one_fused_step_equals_gradient_matrix_step(widths, activation, squash):
+    x, y, spec = training_case(widths, activation, squash, seed=4)
+    result = train_model(x, y, spec, TrainingConfig(max_epochs=1))
+    p0 = init_params(spec)
+    lr = _learning_rate(spec, p0, x, TrainingConfig())
+    resid = predict(spec, p0, x) - y
+    want = p0.values - lr * (gradients(spec, p0, x).T @ resid) / len(y)
+    got = result.model.params.values
+    assert result.epochs == 1 and not result.converged and result.lr == lr
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not np.array_equal(got, p0.values)
+
+
+@pytest.mark.parametrize(
+    "widths, activation, squash, max_epochs, converged",
+    [
+        ((2, 8, 1), "tanh", "sigmoid", 3000, True),
+        ((3, 5, 4, 1), "tanh", "sigmoid", 3000, True),
+        ((2, 8, 1), "tanh", "sigmoid", 60, False),
+        ((3, 6, 1), "identity", "identity", 3000, True),
+    ],
+)
+def test_train_model_matches_reference_loop(widths, activation, squash, max_epochs, converged):
+    x, y, spec = training_case(widths, activation, squash, seed=len(widths))
+    config = TrainingConfig(max_epochs=max_epochs)
+    epochs, loss, ref_converged, values = reference_training(x, y, spec, config)
+    result = train_model(x, y, spec, config)
+    assert ref_converged is converged
+    assert (result.epochs, result.converged, result.diverged) == (epochs, converged, False)
+    assert converged or result.epochs == max_epochs
+    got = result.model.params.values
+    assert np.abs(got - values).max() <= 1e-12 * np.abs(values).max()
+    assert result.final_loss == pytest.approx(loss, rel=1e-12)
 
 
 def test_accuracy_hand_value():
@@ -170,6 +246,30 @@ def test_train_ground_truth_flags_divergence():
     config = TrainingConfig(lr_scale=1e12, lr_cap=1e12, max_epochs=40)
     [g] = train_ground_truth([c], spec, config, t.real_x, t.real_y)
     assert g.diverged and g.test_metric == 0.0
+    assert 1 <= g.epochs < 40 and g.converged == 0
+
+
+def test_train_ground_truth_records_epochs_and_convergence():
+    [c] = make_contributors([(12, 6)], small_mixture(), feature_dim=4, seed=9)
+    [t] = make_contributors([(20, 0)], small_mixture(), feature_dim=4, seed=99)
+    spec = MLPSpec(layer_widths=(4, 8, 1))
+    for max_epochs in (60, 5000):
+        config = TrainingConfig(metric="one_minus_loss", restarts=3, max_epochs=max_epochs, seed=4)
+        [g] = train_ground_truth([c], spec, config, t.real_x, t.real_y)
+        runs = [
+            train_model(
+                c.pooled_x(), c.pooled_y(),
+                replace(spec, init_seed=derive_seed(4, "gt-init", c.id, r)), config,
+            )
+            for r in range(3)
+        ]
+        assert g.epochs == max(r.epochs for r in runs)
+        assert g.converged == sum(r.converged for r in runs)
+        # the short budget caps every restart; the long one lets some converge
+        if max_epochs == 60:
+            assert (g.epochs, g.converged) == (60, 0)
+        else:
+            assert g.converged > 0 and g.epochs < 5000
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from mixval.ntk import (
     MLPSpec,
     Model,
     NTKGram,
+    ParamVector,
+    _sigmoid,
     bound_term,
     default_ridge,
     forward,
@@ -161,6 +163,73 @@ def test_gradients_batch_matches_per_example():
     assert batch.shape == (7, spec.n_params)
     rows = np.stack([per_example_gradient(spec, params, xi) for xi in x])
     assert batch == pytest.approx(rows, abs=1e-13)
+
+
+def masked_sigmoid(z):
+    # the masked-index form _sigmoid had before it went mask-free
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def einsum_hstack_gradients(spec, params, x):
+    """Per-example gradients the way ``gradients`` computed them before its
+    single reverse pass: derivatives recomputed from pre-activations, each
+    layer's rows built by einsum and joined by two hstacks."""
+    dact = {"tanh": lambda z: 1.0 - np.tanh(z) ** 2, "identity": np.ones_like}[spec.activation]
+    dsquash = {
+        "sigmoid": lambda z: masked_sigmoid(z) * (1.0 - masked_sigmoid(z)),
+        "identity": np.ones_like,
+    }[spec.output_squash]
+    act = np.tanh if spec.activation == "tanh" else (lambda z: z)
+    layers = params.layers()
+    h, pre, post = x, [], [x]
+    for li, (w, b) in enumerate(layers):
+        z = h @ w.T + b
+        pre.append(z)
+        h = act(z) if li < len(layers) - 1 else z
+        post.append(h)
+    delta = dsquash(pre[-1])
+    grads = [None] * len(layers)
+    for li in range(len(layers) - 1, -1, -1):
+        gw = np.einsum("no,ni->noi", delta, post[li]).reshape(len(x), -1)
+        grads[li] = np.hstack([gw, delta])
+        if li > 0:
+            delta = (delta @ layers[li][0]) * dact(pre[li - 1])
+    return np.hstack(grads)
+
+
+@pytest.mark.parametrize("widths", [(8, 16, 1), (3, 5, 4, 1)])
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+@pytest.mark.parametrize("squash", ["sigmoid", "identity"])
+def test_gradients_equal_einsum_hstack_oracle(widths, activation, squash):
+    spec = MLPSpec(
+        layer_widths=widths, activation=activation, output_squash=squash, init_seed=5
+    )
+    base = init_params(spec)
+    rng = np.random.default_rng(21)
+    # nonzero biases and large inputs reach both sigmoid tails
+    params = ParamVector(base.values + 0.3 * rng.standard_normal(spec.n_params), base.weight_shapes)
+    x = 4.0 * rng.standard_normal((41, widths[0]))
+    got = gradients(spec, params, x)
+    want = einsum_hstack_gradients(spec, params, x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_sigmoid_equals_masked_form_bit_for_bit():
+    rng = np.random.default_rng(3)
+    z = np.concatenate([
+        rng.standard_normal(500), 40.0 * rng.standard_normal(500),
+        [0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 709.0, -709.0, 745.0, -745.0,
+         800.0, -800.0, np.inf, -np.inf],
+    ])
+    for shape in ((len(z),), (len(z), 1)):
+        got = _sigmoid(z.reshape(shape))
+        assert got.shape == shape and got.tobytes() == masked_sigmoid(z.reshape(shape)).tobytes()
+    assert np.isnan(_sigmoid(np.array([np.nan]))[0])
 
 
 # ---------------------------------------------------------------------------
