@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mixval._seeds import derive_seed
 from mixval.errors import DegenerateDataError, DomainError
 from mixval.evalharness import (
     GroundTruth,
     TrainingConfig,
+    _learning_rate,
     accuracy,
     average_ranks,
     evaluate_method,
@@ -22,8 +24,6 @@ from mixval.evalharness import (
     train_ground_truth,
     train_model,
 )
-from mixval._seeds import derive_seed
-from mixval.evalharness import _learning_rate
 from mixval.longtail import make_contributors
 from mixval.ntk import MLPSpec, Model, ParamVector, gradients, init_params, predict
 from mixval.valuation import ValuationScore, ValuationWeights, empirical_loss
@@ -148,9 +148,10 @@ def training_case(widths, activation="tanh", squash="sigmoid", n=30, seed=0):
 @pytest.mark.parametrize("activation, squash", [("tanh", "sigmoid"), ("identity", "identity")])
 def test_one_fused_step_equals_gradient_matrix_step(widths, activation, squash):
     x, y, spec = training_case(widths, activation, squash, seed=4)
-    result = train_model(x, y, spec, TrainingConfig(max_epochs=1))
+    config = TrainingConfig(max_epochs=1)
+    result = train_model(x, y, spec, config)
     p0 = init_params(spec)
-    lr = _learning_rate(spec, p0, x, TrainingConfig())
+    lr = _learning_rate(spec, p0, x, config)
     resid = predict(spec, p0, x) - y
     want = p0.values - lr * (gradients(spec, p0, x).T @ resid) / len(y)
     got = result.model.params.values
