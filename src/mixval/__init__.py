@@ -58,6 +58,7 @@ from .longtail import (
 )
 from .mmd import (
     DiscrepancyEstimate,
+    DistanceBlocks,
     KernelSpec,
     MultiKernelSpec,
     gaussian_kernel,
@@ -148,6 +149,7 @@ __all__ = [
     "KernelSpec",
     "MultiKernelSpec",
     "DiscrepancyEstimate",
+    "DistanceBlocks",
     "gaussian_kernel",
     "median_heuristic",
     "mmd",

@@ -59,7 +59,7 @@ from .longtail import (
     parse_contributor_rows,
     read_contributors,
 )
-from .mmd import MultiKernelSpec, mmd
+from .mmd import DistanceBlocks, MultiKernelSpec, mmd
 from .ntk import MLPSpec, Model, default_ridge, init_params, ntk_gram, bound_term, predict
 from .scaling import (
     ScalingParams,
@@ -424,11 +424,12 @@ def run_discrepancy(cfg: dict, out: Path) -> RunResult:
     x, _ = read_samples(Path(cfg["x"]))
     y, _ = read_samples(Path(cfg["y"]))
     result.inputs += [Path(cfg["x"]), Path(cfg["y"])]
+    blocks = DistanceBlocks.of(x, y)  # shared by the median and the MMD
     if "bandwidths" in cfg:
         spec = MultiKernelSpec.from_bandwidths(cfg["bandwidths"], cfg.get("weights"))
     else:
-        spec = MultiKernelSpec.median_bank(x, y, **_given(cfg, ("scales",)))
-    estimate = mmd(x, y, spec, **_given(cfg, ("estimator",)))
+        spec = MultiKernelSpec.median_bank(x, y, **_given(cfg, ("scales",)), blocks=blocks)
+    estimate = mmd(x, y, spec, **_given(cfg, ("estimator",)), blocks=blocks)
     path = out / "discrepancy.json"
     _write_json(
         path,

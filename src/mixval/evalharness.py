@@ -164,7 +164,8 @@ def train_model(
     for epochs in range(1, config.max_epochs + 1):
         outputs = layer_outputs(spec, layers, x)
         resid = outputs[-1][:, 0] - y
-        loss = float(np.mean(resid**2) / 2.0)
+        # the bits of np.mean(resid**2) / 2.0 without mean's wrapper cost
+        loss = float(np.add.reduce(resid * resid)) / n / 2.0
         if not math.isfinite(loss) or loss > 1e6:
             return TrainResult(model, epochs, loss, diverged=True, converged=False, lr=lr)
         if abs(prev - loss) < config.tol:
@@ -172,7 +173,7 @@ def train_model(
         for li, delta, h_in in backprop(spec, layers, outputs, resid[:, None]):
             w, b = layers[li]
             w -= lr * (delta.T @ h_in) / n
-            b -= lr * delta.sum(axis=0) / n
+            b -= lr * np.add.reduce(delta, axis=0) / n
         prev = loss
     return TrainResult(model, epochs, loss, diverged=False, converged=False, lr=lr)
 

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from numpy.lib.stride_tricks import as_strided
+from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDataError, DomainError
 
@@ -67,10 +68,35 @@ class MultiKernelSpec:
         x: np.ndarray,
         y: np.ndarray,
         scales: tuple[float, ...] = _DEFAULT_SCALES,
+        blocks: DistanceBlocks | None = None,
     ) -> "MultiKernelSpec":
         """Bank of scaled median-heuristic bandwidths with uniform weights."""
-        med = median_heuristic(x, y)
+        med = median_heuristic(x, y, blocks)
         return cls.from_bandwidths([s * med for s in scales])
+
+
+@dataclass(frozen=True)
+class DistanceBlocks:
+    """Squared Euclidean distances within X (xx), within Y (yy) and between (xy).
+
+    xx and yy must be exactly symmetric, as ``sq_distances`` makes them.
+    """
+
+    xx: np.ndarray
+    yy: np.ndarray
+    xy: np.ndarray
+
+    @classmethod
+    def of(
+        cls, x: np.ndarray, y: np.ndarray, xx: np.ndarray | None = None
+    ) -> "DistanceBlocks":
+        """Blocks of two sample sets; ``xx`` is computed unless given."""
+        x, y = _as_matrix(x, "X"), _as_matrix(y, "Y")
+        if x.shape[1] != y.shape[1]:
+            raise DomainError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
+        if xx is None:
+            xx = sq_distances(x, x)
+        return cls(xx, sq_distances(y, y), sq_distances(x, y))
 
 
 @dataclass(frozen=True)
@@ -97,31 +123,80 @@ def gaussian_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     return math.exp(-d2 / (2.0 * spec.bandwidth**2))
 
 
-def median_heuristic(x: np.ndarray, y: np.ndarray) -> float:
+def median_heuristic(
+    x: np.ndarray, y: np.ndarray, blocks: DistanceBlocks | None = None
+) -> float:
     """Median pairwise Euclidean distance over the pooled sample set.
 
-    Computed from squared distances partitioned around the middle pair
-    and square-rooted, which equals the median of the distances exactly
-    (sqrt is monotone and correctly rounded); an even pair count gives
-    the mean of the two middle distances.  A zero median (over half the
-    points coincide) falls back to the smallest positive distance; a
-    pooled set with no positive distance at all has no usable scale.
+    Taken from the squared-distance blocks of (x, y), passed as
+    ``blocks`` when the caller holds them for ``mmd`` and computed here
+    otherwise: the distinct pairs of xx and yy plus every xy entry are
+    the pooled set's pairs.  One partition places the lower middle pair;
+    an even pair count takes the smallest entry above it as the upper
+    one and averages the two square roots, which equals the median of
+    the distances exactly (sqrt is monotone and correctly rounded).  A
+    zero median (over half the points coincide) falls back to the
+    smallest positive distance; a pooled set with no positive distance
+    at all has no usable scale.
     """
-    pooled = np.vstack([_as_matrix(x, "X"), _as_matrix(y, "Y")])
-    if len(pooled) < 2:
+    x, y = _as_matrix(x, "X"), _as_matrix(y, "Y")
+    if len(x) + len(y) < 2:
         raise DomainError("median heuristic needs at least 2 pooled points")
-    if not np.all(np.isfinite(pooled)):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("median heuristic needs finite points")
-    d2 = pdist(pooled, "sqeuclidean")
-    mid = [(len(d2) - 1) // 2, len(d2) // 2]
-    d2.partition(mid)
-    med = float(np.mean(np.sqrt(d2[mid])))
+    blocks = _blocks_for(x, y, blocks)
+    tx, ty = (n * (n - 1) // 2 for n in (len(x), len(y)))
+    d2 = np.empty(tx + ty + len(x) * len(y))  # partitioned in place below
+    _pairs_into(blocks.xx, d2[:tx])
+    _pairs_into(blocks.yy, d2[tx : tx + ty])
+    d2[tx + ty :] = blocks.xy.ravel()
+    lo = (len(d2) - 1) // 2
+    d2.partition(lo)
+    a = float(d2[lo])
+    b = float(d2[lo + 1 :].min()) if len(d2) % 2 == 0 else a
+    med = (math.sqrt(a) + math.sqrt(b)) / 2.0
     if med == 0.0:
         positive = d2[d2 > 0]
         if positive.size == 0:
             raise DegenerateDataError("all pooled points identical; no length scale")
         med = float(np.sqrt(positive.min()))
     return med
+
+
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of two 2-d arrays."""
+    return cdist(a, b, metric="sqeuclidean")
+
+
+def _pairs_into(block: np.ndarray, out: np.ndarray) -> None:
+    # Writes the entries (i, j), i < j, of an exactly symmetric n x n block
+    # into the contiguous n(n-1)/2-long ``out``, in no particular order,
+    # without index arrays.  Row i of the strided view ``wrap`` starts at
+    # block[i, i + 1] and runs k = n // 2 entries; past the end of row i
+    # it continues into row i + 1's lower triangle.  So column g holds the
+    # pairs of gap g and, by symmetry, of gap n + 1 - g: columns 1..k
+    # cover gaps 1..k and n + 1 - k..n - 1, every gap once, except that
+    # odd n misses gap k + 1, copied from its own diagonal.
+    n = len(block)
+    if n < 2:
+        return
+    k = n // 2
+    flat = np.ascontiguousarray(block).ravel()
+    step = flat.itemsize
+    wrap = as_strided(flat[1:], (n - 1, k), ((n + 1) * step, step), writeable=False)
+    out[: (n - 1) * k].reshape(n - 1, k)[...] = wrap
+    if n % 2:
+        out[(n - 1) * k :] = flat[k + 1 :: n + 1][:k]
+
+
+def _blocks_for(x: np.ndarray, y: np.ndarray, blocks: DistanceBlocks | None) -> DistanceBlocks:
+    # the caller's blocks, checked against the sample sets, or fresh ones
+    if blocks is None:
+        return DistanceBlocks.of(x, y)
+    nx, ny = len(x), len(y)
+    if (blocks.xx.shape, blocks.yy.shape, blocks.xy.shape) != ((nx, nx), (ny, ny), (nx, ny)):
+        raise DomainError("distance blocks do not match the sample sets")
+    return blocks
 
 
 def _as_matrix(v: np.ndarray, name: str) -> np.ndarray:
@@ -136,12 +211,12 @@ def _as_matrix(v: np.ndarray, name: str) -> np.ndarray:
 def _mean_all(k: np.ndarray) -> float:
     # compensated: exact row sums are reduced with fsum, so any row
     # evaluation order gives the same total
-    return math.fsum(np.sum(k, axis=1)) / k.size
+    return math.fsum(np.add.reduce(k, axis=1).tolist()) / k.size
 
 
 def _mean_offdiag(k: np.ndarray) -> float:
     n = len(k)
-    total = math.fsum(np.sum(k, axis=1)) - math.fsum(np.diag(k))
+    total = math.fsum(np.add.reduce(k, axis=1).tolist()) - math.fsum(np.diag(k).tolist())
     return total / (n * (n - 1))
 
 
@@ -150,13 +225,15 @@ def mmd(
     y: np.ndarray,
     spec: MultiKernelSpec,
     estimator: str = "biased",
+    blocks: DistanceBlocks | None = None,
 ) -> DiscrepancyEstimate:
     """Multi-kernel MMD between sample sets X and Y.
 
     The biased (V-statistic) form averages all pairs including self
     pairs and is nonnegative by construction; the unbiased (U-statistic)
     form excludes self pairs within X and within Y and needs at least
-    two points per set.
+    two points per set.  ``blocks`` are those of (X, Y) when the caller
+    already holds them, as for ``median_heuristic``.
     """
     x = _as_matrix(x, "X")
     y = _as_matrix(y, "Y")
@@ -173,11 +250,12 @@ def mmd(
     # each squared-distance block is computed once; every kernel writes
     # its Gram block into the same buffer.  d / -(2 bw^2) is bit-identical
     # to -d / (2 bw^2), since IEEE division is sign-symmetric.
-    blocks = [cdist(a, b, metric="sqeuclidean") for a, b in ((x, x), (y, y), (x, y))]
-    bufs = [np.empty_like(d) for d in blocks]
+    blocks = _blocks_for(x, y, blocks)
+    dists = (blocks.xx, blocks.yy, blocks.xy)
+    bufs = [np.empty_like(d) for d in dists]
     per_kernel = []
     for kern in spec.kernels:
-        for d, buf in zip(blocks, bufs):
+        for d, buf in zip(dists, bufs):
             np.divide(d, -(2.0 * kern.bandwidth**2), out=buf)
             np.exp(buf, out=buf)
         kxx, kyy, kxy = bufs

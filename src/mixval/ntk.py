@@ -247,8 +247,8 @@ class NTKGram:
 
     def __post_init__(self) -> None:
         m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"Gram matrix must be square, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise DomainError(f"Gram matrix must be square and nonempty, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise NumericalError("Gram matrix contains non-finite entries")
         if np.abs(m - m.T).max() > 1e-9:
@@ -268,6 +268,8 @@ class NTKGram:
 def ntk_gram(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> NTKGram:
     """Gram[i][j] = <grad f(x_i), grad f(x_j)> at the given parameters."""
     g = gradients(spec, params, x)
+    if len(g) == 0:
+        raise DomainError("NTK Gram of an empty batch is undefined")
     m = g @ g.T  # numpy computes g @ g.T with syrk: exactly symmetric
     bound = float(np.sqrt(np.maximum(np.diag(m), 0.0).max()))
     return NTKGram(matrix=m, gradient_norm_bound=bound)

@@ -23,7 +23,7 @@ import numpy as np
 from ._seeds import substream
 from .errors import DomainError, MixvalError
 from .longtail import Contributor, pool_contributors
-from .mmd import _DEFAULT_SCALES, MultiKernelSpec, mmd
+from .mmd import _DEFAULT_SCALES, DistanceBlocks, MultiKernelSpec, mmd, sq_distances
 from .ntk import Model, bound_term, ntk_gram
 
 _EXACT_SHAPLEY_MAX = 12
@@ -173,16 +173,55 @@ def mixture_loss(model: Model, contributor: Contributor) -> float:
     )
 
 
-def _cap_rows(n: int, cap: int | None, rng: np.random.Generator) -> np.ndarray | slice:
-    # sorted rows of one size-cap draw from rng; every row when no cap fires
+def _cap_rows(n: int, cap: int | None, seed: int, *path: str) -> np.ndarray | slice:
+    # sorted rows of one size-cap draw from substream (seed, *path); every
+    # row when no cap fires, and then no substream is derived
     if cap is None or n <= cap:
         return slice(None)
-    return np.sort(rng.choice(n, size=cap, replace=False))
+    return np.sort(substream(seed, *path).choice(n, size=cap, replace=False))
+
+
+@dataclass(frozen=True)
+class _TestSet:
+    """A validated test sample with its squared-distance block.
+
+    Built once per ``score_all`` or ``coalition_value_fn`` call.  When
+    ``test_cap`` fires, each part draws its own rows, so no full block
+    is held (``d2`` is None).
+    """
+
+    x: np.ndarray
+    d2: np.ndarray | None
+
+    @classmethod
+    def of(cls, test_x: np.ndarray, cap: int | None) -> "_TestSet":
+        x = np.asarray(test_x, dtype=float)
+        if x.ndim != 2 or len(x) < 1:
+            raise DomainError("test set must be a nonempty 2-d array")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("test set must be finite")
+        return cls(x, None if cap is not None and len(x) > cap else sq_distances(x, x))
+
+
+def _part_discrepancy(
+    test: _TestSet, x: np.ndarray, cid: str, tag: str, config: ValuationConfig
+) -> float:
+    # MMD of one capped part to the test set; its distance blocks are
+    # built once, serve the median and the kernels, and die on return,
+    # before the next part's
+    part_x = x[_cap_rows(len(x), config.mmd_cap, config.seed, "value", cid, "mmd-cap", tag)]
+    # the rows are all of them exactly when test.d2 is held
+    t_x = test.x[
+        _cap_rows(len(test.x), config.test_cap, config.seed, "value", cid, "test-cap", tag)
+    ]
+    blocks = DistanceBlocks.of(t_x, part_x, test.d2)
+    bank = MultiKernelSpec.median_bank(t_x, part_x, config.kernel_scales, blocks)
+    return mmd(t_x, part_x, bank, config.estimator, blocks).value
 
 
 def score(
     contributor: Contributor,
-    test_x: np.ndarray,
+    test_x: np.ndarray | _TestSet,
     model: Model,
     config: ValuationConfig,
 ) -> ValuationScore:
@@ -192,29 +231,21 @@ def score(
     by pi and 1-pi (an empty part has weight 0 and is skipped); the
     tangent-kernel term uses initialization residuals on the pooled
     set; |S| in the composition term is the full, uncapped size.
+    ``score_all`` and ``coalition_value_fn`` pass a test set prepared
+    once per call, so its distance block is not recomputed per score.
     """
-    test_x = np.asarray(test_x, dtype=float)
-    if test_x.ndim != 2 or len(test_x) < 1:
-        raise DomainError("test set must be a nonempty 2-d array")
-    if not np.all(np.isfinite(test_x)):
-        raise DomainError("test set must be finite")
+    test = test_x if isinstance(test_x, _TestSet) else _TestSet.of(test_x, config.test_cap)
     cid = contributor.id
     pi = contributor.pi
     try:
         loss_term = mixture_loss(model, contributor)
-        dists = []
-        for weight, x, _, tag in _parts(contributor):
-            rng_m = substream(config.seed, "value", cid, "mmd-cap", tag)
-            part_x = x[_cap_rows(len(x), config.mmd_cap, rng_m)]
-            rng_t = substream(config.seed, "value", cid, "test-cap", tag)
-            t_x = test_x[_cap_rows(len(test_x), config.test_cap, rng_t)]
-            bank = MultiKernelSpec.median_bank(t_x, part_x, config.kernel_scales)
-            dists.append(weight * mmd(t_x, part_x, bank, config.estimator).value)
-        discrepancy_term = math.fsum(dists)
+        discrepancy_term = math.fsum(
+            weight * _part_discrepancy(test, x, cid, tag, config)
+            for weight, x, _, tag in _parts(contributor)
+        )
 
         pooled_x, pooled_y = contributor.pooled_x(), contributor.pooled_y()
-        rng_n = substream(config.seed, "value", cid, "ntk-cap")
-        keep = _cap_rows(len(pooled_y), config.ntk_cap, rng_n)
+        keep = _cap_rows(len(pooled_y), config.ntk_cap, config.seed, "value", cid, "ntk-cap")
         sub_x, sub_y = pooled_x[keep], pooled_y[keep]
         gram = ntk_gram(model.spec, model.params, sub_x)
         residuals = sub_y - model.predict(sub_x)
@@ -247,7 +278,8 @@ def score_all(
     its error message.  Scores depend only on (data, id, config), never
     on list order or worker count: contributors are independent, so
     workers > 1 fans them out over a thread pool and collects results
-    in the input order.
+    in the input order.  The test set is shared: a malformed one raises
+    here, once, instead of failing every contributor.
     """
     if not contributors:
         raise DomainError("need at least one contributor")
@@ -256,10 +288,11 @@ def score_all(
         raise DomainError("contributor ids must be unique")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    test = _TestSet.of(test_x, config.test_cap)
 
     def one(c: Contributor) -> tuple[ValuationScore | None, str | None]:
         try:
-            return score(c, test_x, model, config), None
+            return score(c, test, model, config), None
         except MixvalError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
@@ -397,8 +430,10 @@ def coalition_value_fn(
     """Memoized v(coalition) = score of the pooled coalition data.
 
     The empty coalition is worth 0 (the bound is vacuous on no data).
-    Pooling recomputes pi and |S| from the combined counts.
+    Pooling recomputes pi and |S| from the combined counts.  The test
+    set is checked, and its distance block built, once, here.
     """
+    test = _TestSet.of(test_x, config.test_cap)
     cache: dict[frozenset[int], float] = {frozenset(): 0.0}
 
     def value(coalition: frozenset[int]) -> float:
@@ -410,7 +445,7 @@ def coalition_value_fn(
             [contributors[i] for i in members],
             id="+".join(contributors[i].id for i in members),
         )
-        v = score(pooled, test_x, model, config).total
+        v = score(pooled, test, model, config).total
         cache[coalition] = v
         return v
 

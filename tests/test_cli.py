@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 
@@ -524,7 +525,14 @@ def test_marginal_exact_and_sampled(tmp_path, capsys):
 # discrepancy / gram.
 
 
-def test_discrepancy_on_plain_csv(tmp_path, capsys):
+def test_discrepancy_on_plain_csv(tmp_path, capsys, monkeypatch):
+    # the median and the MMD share one set of distance blocks
+    mmd_module = importlib.import_module("mixval.mmd")
+    blocks, cdist = [], mmd_module.cdist
+    monkeypatch.setattr(
+        mmd_module, "cdist",
+        lambda a, b, metric: blocks.append((len(a), len(b))) or cdist(a, b, metric=metric),
+    )
     rng = np.random.default_rng(2)
     for name, shift in (("x.csv", 0.0), ("y.csv", 1.0)):
         rows = rng.standard_normal((30, 2)) + shift
@@ -548,6 +556,7 @@ def test_discrepancy_on_plain_csv(tmp_path, capsys):
         max(payload["squared"], 0.0) ** 0.5, rel=1e-12
     )
     assert len(payload["bandwidths"]) == len(payload["kernel_weights"])
+    assert len(blocks) == 3
 
 
 def test_gram_outputs(tmp_path, capsys):

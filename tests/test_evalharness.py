@@ -25,7 +25,16 @@ from mixval.evalharness import (
     train_model,
 )
 from mixval.longtail import make_contributors
-from mixval.ntk import MLPSpec, Model, ParamVector, gradients, init_params, predict
+from mixval.ntk import (
+    MLPSpec,
+    Model,
+    ParamVector,
+    backprop,
+    gradients,
+    init_params,
+    layer_outputs,
+    predict,
+)
 from mixval.valuation import ValuationScore, ValuationWeights, empirical_loss
 
 from conftest import small_mixture
@@ -180,6 +189,37 @@ def test_train_model_matches_reference_loop(widths, activation, squash, max_epoc
     got = result.model.params.values
     assert np.abs(got - values).max() <= 1e-12 * np.abs(values).max()
     assert result.final_loss == pytest.approx(loss, rel=1e-12)
+
+
+def test_train_model_loss_and_bias_step_keep_mean_and_sum_bits():
+    # the fused loop with np.mean for the epoch loss and ndarray.sum for
+    # the bias step: train_model's cheaper reductions give the same bits,
+    # so epochs, losses and parameters match exactly
+    def mean_sum_training(x, y, spec, config):
+        params = init_params(spec)
+        lr = _learning_rate(spec, params, x, config)
+        layers = params.layers()
+        prev = loss = math.inf
+        for epochs in range(1, config.max_epochs + 1):
+            outputs = layer_outputs(spec, layers, x)
+            resid = outputs[-1][:, 0] - y
+            loss = float(np.mean(resid**2) / 2.0)
+            if abs(prev - loss) < config.tol:
+                break
+            for li, delta, h_in in backprop(spec, layers, outputs, resid[:, None]):
+                w, b = layers[li]
+                w -= lr * (delta.T @ h_in) / len(y)
+                b -= lr * delta.sum(axis=0) / len(y)
+            prev = loss
+        return epochs, loss, params.values
+
+    for widths, max_epochs in (((2, 8, 1), 3000), ((3, 5, 4, 1), 40)):
+        x, y, spec = training_case(widths, n=37, seed=9)
+        config = TrainingConfig(max_epochs=max_epochs)
+        epochs, loss, values = mean_sum_training(x, y, spec, config)
+        result = train_model(x, y, spec, config)
+        assert (result.epochs, result.final_loss) == (epochs, loss)
+        assert np.array_equal(result.model.params.values, values)
 
 
 def test_accuracy_hand_value():

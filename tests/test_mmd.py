@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from mixval.errors import DegenerateDataError, DomainError
 from mixval.mmd import (
     DiscrepancyEstimate,
+    DistanceBlocks,
     KernelSpec,
     MultiKernelSpec,
+    _pairs_into,
     gaussian_kernel,
     median_heuristic,
     mmd,
+    sq_distances,
 )
 
 
@@ -76,6 +80,68 @@ def test_median_heuristic_hand_cases():
         median_heuristic(np.zeros((1, 2)), np.zeros((0, 2)))
     with pytest.raises(DomainError):
         median_heuristic(np.array([0.0, np.nan]), np.array([1.0]))
+    with pytest.raises(DomainError, match="feature dims"):
+        median_heuristic(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+def pdist_median(x: np.ndarray, y: np.ndarray) -> float:
+    """Reference median heuristic: pdist over the stacked points, both
+    middle pairs selected by one partition, mean of their square roots."""
+    d2 = pdist(np.vstack([x, y]), "sqeuclidean")
+    mid = [(len(d2) - 1) // 2, len(d2) // 2]
+    d2.partition(mid)
+    med = float(np.mean(np.sqrt(d2[mid])))
+    if med == 0.0:
+        med = float(np.sqrt(d2[d2 > 0].min()))
+    return med
+
+
+def test_median_from_blocks_equals_pdist_median_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for case in range(160):
+        dim = 1 + case % 9
+        nx, ny = (int(n) for n in rng.integers(1, 45, size=2))
+        x = rng.standard_normal((nx, dim)) * rng.uniform(0.1, 10.0)
+        y = rng.standard_normal((ny, dim)) + rng.uniform(-2.0, 2.0)
+        if case % 4 == 1:  # ties: points on a coarse integer grid
+            x, y = np.round(x), np.round(y)
+        if case % 4 == 2:  # many pooled points coincide, often a zero median
+            x[:] = y[0]
+            y[: ny // 2 + 1] = y[0]
+        dist = pdist(np.vstack([x, y]))
+        if not np.any(dist > 0):
+            continue
+        want = pdist_median(x, y)
+        assert median_heuristic(x, y) == want
+        assert median_heuristic(x, y, DistanceBlocks.of(x, y, sq_distances(x, x))) == want
+        seen.add(("odd" if len(dist) % 2 else "even", bool(np.median(dist) == 0)))
+    assert seen == {("even", False), ("odd", False), ("even", True), ("odd", True)}
+
+
+@pytest.mark.parametrize("n", [*range(0, 12), 31, 64, 101])
+def test_pairs_gather_is_the_strict_upper_triangle(n):
+    x = np.random.default_rng(n).standard_normal((n, 3))
+    block = sq_distances(x, x)
+    got = np.full(n * (n - 1) // 2, np.nan)
+    _pairs_into(block, got)
+    assert np.array_equal(np.sort(got), np.sort(block[np.triu_indices(n, 1)]))
+
+
+def test_mmd_reuses_given_blocks_exactly():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((23, 4))
+    y = rng.standard_normal((17, 4)) + 0.3
+    blocks = DistanceBlocks.of(x, y)
+    bank = MultiKernelSpec.median_bank(x, y, blocks=blocks)
+    assert bank == MultiKernelSpec.median_bank(x, y)
+    for estimator in ("biased", "unbiased"):
+        assert mmd(x, y, bank, estimator, blocks) == mmd(x, y, bank, estimator)
+    swapped = DistanceBlocks.of(y, x)
+    with pytest.raises(DomainError, match="do not match"):
+        median_heuristic(x, y, swapped)
+    with pytest.raises(DomainError, match="do not match"):
+        mmd(x, y, bank, "biased", swapped)
 
 
 def test_median_bank_scales():

@@ -273,6 +273,11 @@ def test_gram_validation():
     with pytest.raises(NumericalError):
         # diagonal exceeds the claimed B^2
         NTKGram(matrix=np.eye(2) * 9.0, gradient_norm_bound=1.0)
+    with pytest.raises(DomainError, match="nonempty"):
+        NTKGram(matrix=np.zeros((0, 0)), gradient_norm_bound=1.0)
+    spec = MLPSpec(layer_widths=(3, 4, 1))
+    with pytest.raises(DomainError, match="empty batch"):
+        ntk_gram(spec, init_params(spec), np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,9 @@ def test_score_all_validation(contributors_small, test_x_small, model_small):
         )
     with pytest.raises(DomainError):
         score_all(contributors_small, test_x_small, model_small, config, workers=0)
+    # a malformed test set fails the whole call, not each contributor
+    with pytest.raises(DomainError, match="test set"):
+        score_all(contributors_small, np.zeros((0, 4)), model_small, config)
 
 
 def test_subsampling_caps_are_deterministic(contributors_small, test_x_small, model_small):
@@ -369,6 +372,31 @@ def test_coalition_value_fn_empty_and_pooling(
     ).total
     assert fn(frozenset({0, 1})) == direct
     assert fn(frozenset({0, 1})) == direct  # memoized second call
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ValuationConfig(seed=3),
+        ValuationConfig(seed=3, estimator="unbiased"),
+        # every cap fires: pooled sets of 20-60, parts of 8 and 12, 30 test points
+        ValuationConfig(seed=3, ntk_cap=15, mmd_cap=6, test_cap=10),
+        ValuationConfig(seed=4, ntk_cap=15, mmd_cap=6, test_cap=10, estimator="unbiased"),
+    ],
+)
+def test_coalition_values_equal_standalone_scores(
+    contributors_small, test_x_small, model_small, config
+):
+    # the value function shares one prepared test set across coalitions;
+    # each value equals a standalone score of the pooled data exactly
+    fn = coalition_value_fn(contributors_small, test_x_small, model_small, config)
+    for mask in range(1, 8):
+        members = [i for i in range(3) if mask >> i & 1]
+        pooled = pool_contributors(
+            [contributors_small[i] for i in members],
+            id="+".join(contributors_small[i].id for i in members),
+        )
+        assert fn(frozenset(members)) == score(pooled, test_x_small, model_small, config).total
 
 
 def test_marginal_values_shapley_and_loo(contributors_small, test_x_small, model_small):
