@@ -25,15 +25,13 @@ MIXVAL_THREADS sets the worker-thread count for per-contributor loops
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import platform
 import sys
-import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -55,9 +53,13 @@ from .longtail import (
     MixtureSpec,
     PowerLawSpec,
     TruncatedPowerLawSpec,
+    contributor_files,
     make_contributors,
     parse_contributor_rows,
     read_contributors,
+    read_csv,
+    write_csv,
+    write_text,
 )
 from .mmd import DistanceBlocks, MultiKernelSpec, mmd
 from .ntk import MLPSpec, Model, default_ridge, init_params, ntk_gram, bound_term, predict
@@ -70,6 +72,7 @@ from .scaling import (
 from .valuation import (
     CoalitionWeighting,
     ValuationConfig,
+    ValuationScore,
     ValuationWeights,
     fit_score_weights,
     marginal_values,
@@ -79,14 +82,18 @@ from .valuation import (
 
 __version__ = "0.1.0"
 
-_COLUMN_ORDERS = """\
-output columns (fixed order):
-  curve CSV        n,error,phase_label
-  scores CSV       contributor_id,loss_term,discrepancy_term,ntk_term,\
-composition_term,total,gradient_norm_bound
-  marginal CSV     contributor_id,value,stderr
-  groundtruth CSV  contributor_id,test_metric,config_digest,diverged,\
-epochs,converged
+# the columns of each output table, in file order
+_TABLES = {
+    "curve": ("n", "error", "phase_label"),
+    "scores": tuple(f.name for f in fields(ValuationScore)),
+    "marginal": ("contributor_id", "value", "stderr"),
+    "groundtruth": tuple(f.name for f in fields(GroundTruth)),
+}
+_SCORES_HEADER = _TABLES["scores"]
+
+_EPILOG = "output columns (fixed order):\n" + "".join(
+    f"  {name + ' CSV':<17}{','.join(header)}\n" for name, header in _TABLES.items()
+) + """\
 environment:
   MIXVAL_THREADS   worker threads for per-contributor loops (default 1);
                    pays off only when each contributor's work is large
@@ -241,35 +248,6 @@ _DATA = {
 # File formats.
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -281,15 +259,7 @@ def read_samples(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
     yield (features, labels) in file order; any other header is treated
     as all-numeric feature columns with no labels.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            rows = list(reader)
-    except OSError as exc:
-        raise ConfigError(f"cannot read samples {path}: {exc}") from exc
-    if header is None or not rows:
-        raise DomainError(f"sample file {path} has no data rows")
+    header, rows = read_csv(path, "samples")
     if tuple(header[: len(CSV_HEADER)]) == CSV_HEADER:
         _, _, y, x = parse_contributor_rows(rows, str(path))
     else:
@@ -300,6 +270,49 @@ def read_samples(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
     if not np.all(np.isfinite(x)) or (y is not None and not np.all(np.isfinite(y))):
         raise DomainError(f"sample file {path} holds non-finite values")
     return x, y
+
+
+@dataclass
+class RunResult:
+    """A run's output directory, the files it read and wrote (in order,
+    for the manifest) and extra manifest entries."""
+
+    out: Path
+    inputs: list[Path] = field(default_factory=list)
+    outputs: list[Path] = field(default_factory=list)
+    notes: dict = field(default_factory=dict)
+
+    def samples(self, path: Path) -> tuple[np.ndarray, np.ndarray | None]:
+        self.inputs.append(path)
+        return read_samples(path)
+
+    def contributors(self, directory: Path) -> list[Contributor]:
+        self.inputs += contributor_files(directory)
+        return read_contributors(directory)
+
+    def table(self, path: Path, what: str, parse) -> list:
+        """``parse(row)`` of each row of a CSV file with a header, rows as dicts.
+
+        An unreadable file is a ``ConfigError``.  An empty file, a row whose
+        cells do not match the header, and a cell or column ``parse`` cannot
+        read are a ``DomainError`` naming the file.
+        """
+        self.inputs.append(path)
+        header, rows = read_csv(path, what)
+        try:
+            if any(len(row) != len(header) for row in rows):
+                raise ValueError("a row's cells do not match the header")
+            return [parse(dict(zip(header, row))) for row in rows]
+        except (KeyError, ValueError) as exc:
+            raise DomainError(f"{what} file {path} is malformed: {exc}") from exc
+
+    def csv(self, name: str, header: Sequence[str], rows) -> None:
+        write_csv(self.out / name, header, rows)
+        self.outputs.append(self.out / name)
+
+    def json(self, name: str, obj) -> None:
+        write_text(self.out / name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        self.outputs.append(self.out / name)
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +339,19 @@ def _model_spec(cfg: dict, input_dim: int) -> MLPSpec:
     return MLPSpec(**{"layer_widths": (input_dim, 16, 1), **cfg.get("model", {})})
 
 
-def _load_data(cfg: dict, inputs: list[Path]):
+def _load_data(cfg: dict, run: RunResult):
     """Seed, contributors and test sample (x, y or None) of a config that
-    reads or generates them; files read are appended to ``inputs``."""
+    reads or generates them."""
     _required(cfg, "seed", "contributors", "test")
     seed, entry, test = cfg["seed"], cfg["contributors"], cfg["test"]
     if isinstance(entry, str):
-        contributors = read_contributors(Path(entry))
-        inputs.extend(sorted(Path(entry).glob("*.csv")))
+        contributors = run.contributors(Path(entry))
     elif entry.get("plan") and all(len(pair) == 2 for pair in entry["plan"]):
         contributors = _generate(entry, entry["plan"], derive_seed(seed, "cli-contributors"))
     else:
         raise ConfigError("generated contributors need a 'plan' of [real, synth] pairs")
     if isinstance(test, str):
-        test_x, test_y = read_samples(Path(test))
-        inputs.append(Path(test))
+        test_x, test_y = run.samples(Path(test))
     else:
         [c] = _generate(test, [(test.get("size", 200), 0)], derive_seed(seed, "cli-test"))
         test_x, test_y = c.real_x, c.real_y
@@ -348,16 +359,10 @@ def _load_data(cfg: dict, inputs: list[Path]):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand runners.  Each returns a RunResult; main() wraps them with
-# config loading, digests and the manifest.  A runner's docstring is its
-# help text.
-
-
-@dataclass
-class RunResult:
-    inputs: list[Path] = field(default_factory=list)
-    outputs: list[Path] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+# Subcommand runners.  Each takes its config and a RunResult, and reads
+# sample files and writes outputs through the RunResult; main() wraps them
+# with config loading, digests and the manifest.  A runner's docstring is
+# its help text.
 
 
 _BREAKPOINTS = {"smooth_window": _integer, "min_curvature": _real}
@@ -372,7 +377,7 @@ _SIMULATE = {
 }
 
 
-def run_simulate(cfg: dict, out: Path) -> RunResult:
+def run_simulate(cfg: dict, run: RunResult) -> None:
     """scaling-law curves and breakpoint reports"""
     cfg = _read(cfg, _SIMULATE)
     if "pi" in cfg and "pi_grid" in cfg:
@@ -380,6 +385,14 @@ def run_simulate(cfg: dict, out: Path) -> RunResult:
     pis = cfg.get("pi_grid", (cfg.get("pi", 0.5),))
     if not pis:
         raise ConfigError("'pi_grid' must not be empty")
+    tags = {}  # file tag -> pi; two values with one tag would share files
+    for pi in pis:
+        tag = f"{pi:g}".replace(".", "p")
+        if tag in tags:
+            raise ConfigError(
+                f"pi_grid values {tags[tag]!r} and {pi!r} share the file tag pi{tag}"
+            )
+        tags[tag] = pi
     grid = log_grid(
         cfg.get("n_min", 1e2), cfg.get("n_max", 1e6), cfg.get("points_per_decade", 24)
     )
@@ -387,23 +400,15 @@ def run_simulate(cfg: dict, out: Path) -> RunResult:
         "a": 1.0, "alpha": 0.5, "b": 1.0, "lam": 1.0, "beta": 1.5, "cutoff": 100,
         **cfg.get("params", {}),
     }
-    result = RunResult()
-    for pi in pis:
+    for tag, pi in tags.items():
         curve = sweep(ScalingParams(pi=pi, **params), grid)
-        labels = curve.phase_labels()
-        tag = f"{pi:g}".replace(".", "p")
-        curve_path = out / f"curve_pi{tag}.csv"
-        _write_csv(
-            curve_path,
-            ("n", "error", "phase_label"),
-            zip(curve.sample_sizes.tolist(), curve.errors.tolist(), labels),
-        )
         report = detect_breakpoints(curve, **_given(cfg, _BREAKPOINTS))
-        report_path = out / f"breakpoints_pi{tag}.json"
-        payload = {"pi": pi, **report.to_dict()}
-        _write_json(report_path, payload)
-        result.outputs += [curve_path, report_path]
-    return result
+        run.csv(
+            f"curve_pi{tag}.csv",
+            _TABLES["curve"],
+            zip(curve.sample_sizes.tolist(), curve.errors.tolist(), curve.phase_labels()),
+        )
+        run.json(f"breakpoints_pi{tag}.json", {"pi": pi, **report.to_dict()})
 
 
 _DISCREPANCY = {
@@ -412,7 +417,7 @@ _DISCREPANCY = {
 }
 
 
-def run_discrepancy(cfg: dict, out: Path) -> RunResult:
+def run_discrepancy(cfg: dict, run: RunResult) -> None:
     """multi-kernel MMD between two sample files"""
     cfg = _read(cfg, _DISCREPANCY)
     _required(cfg, "x", "y")
@@ -420,19 +425,16 @@ def run_discrepancy(cfg: dict, out: Path) -> RunResult:
         raise ConfigError("give either 'bandwidths' or 'scales', not both")
     if "weights" in cfg and "bandwidths" not in cfg:
         raise ConfigError("'weights' needs 'bandwidths': a median-heuristic bank is uniform")
-    result = RunResult()
-    x, _ = read_samples(Path(cfg["x"]))
-    y, _ = read_samples(Path(cfg["y"]))
-    result.inputs += [Path(cfg["x"]), Path(cfg["y"])]
+    x, _ = run.samples(Path(cfg["x"]))
+    y, _ = run.samples(Path(cfg["y"]))
     blocks = DistanceBlocks.of(x, y)  # shared by the median and the MMD
     if "bandwidths" in cfg:
         spec = MultiKernelSpec.from_bandwidths(cfg["bandwidths"], cfg.get("weights"))
     else:
         spec = MultiKernelSpec.median_bank(x, y, **_given(cfg, ("scales",)), blocks=blocks)
     estimate = mmd(x, y, spec, **_given(cfg, ("estimator",)), blocks=blocks)
-    path = out / "discrepancy.json"
-    _write_json(
-        path,
+    run.json(
+        "discrepancy.json",
         {
             "value": estimate.value,
             "squared": estimate.squared,
@@ -443,8 +445,6 @@ def run_discrepancy(cfg: dict, out: Path) -> RunResult:
             "n_y": len(y),
         },
     )
-    result.outputs.append(path)
-    return result
 
 
 _GRAM = {
@@ -453,24 +453,16 @@ _GRAM = {
 }
 
 
-def run_gram(cfg: dict, out: Path) -> RunResult:
+def run_gram(cfg: dict, run: RunResult) -> None:
     """tangent-kernel Gram matrix and bound term"""
     cfg = _read(cfg, _GRAM)
     _required(cfg, "samples")
-    result = RunResult()
-    path = Path(cfg["samples"])
-    x, y = read_samples(path)
-    result.inputs.append(path)
+    x, y = run.samples(Path(cfg["samples"]))
     spec = _model_spec(cfg, x.shape[1])
     params = init_params(spec)
     gram = ntk_gram(spec, params, x)
     ridge = default_ridge(gram) if cfg.get("ridge") is None else cfg["ridge"]
-    gram_path = out / "gram.csv"
-    _write_csv(
-        gram_path,
-        tuple(f"g{j}" for j in range(gram.n)),
-        gram.matrix.tolist(),
-    )
+    run.csv("gram.csv", tuple(f"g{j}" for j in range(gram.n)), gram.matrix.tolist())
     payload = {
         "n": gram.n,
         "trace": gram.trace(),
@@ -481,36 +473,14 @@ def run_gram(cfg: dict, out: Path) -> RunResult:
     if y is not None:
         residuals = y - predict(spec, params, x)
         payload["bound_term"] = bound_term(gram, residuals, ridge)
-    bound_path = out / "bound.json"
-    _write_json(bound_path, payload)
-    result.outputs += [gram_path, bound_path]
-    return result
+    run.json("bound.json", payload)
 
 
 _VALUE = {**_DATA, "weights": _object(_WEIGHTS), **_VALUATION, "fit_weights": _boolean}
 
 
-def _scores_rows(scores):
-    for s in scores:
-        yield (
-            s.contributor_id,
-            s.loss_term,
-            s.discrepancy_term,
-            s.ntk_term,
-            s.composition_term,
-            s.total,
-            s.gradient_norm_bound,
-        )
-
-
-_SCORES_HEADER = (
-    "contributor_id", "loss_term", "discrepancy_term", "ntk_term",
-    "composition_term", "total", "gradient_norm_bound",
-)
-
-
-def _prepare_value(cfg: dict, result: RunResult):
-    seed, contributors, test_x, _ = _load_data(cfg, result.inputs)
+def _prepare_value(cfg: dict, run: RunResult):
+    seed, contributors, test_x, _ = _load_data(cfg, run)
     vcfg = ValuationConfig(
         weights=ValuationWeights(**cfg.get("weights", {})),
         seed=seed,
@@ -520,80 +490,66 @@ def _prepare_value(cfg: dict, result: RunResult):
     return contributors, test_x, model, vcfg
 
 
-def run_value(cfg: dict, out: Path) -> RunResult:
+def run_value(cfg: dict, run: RunResult) -> None:
     """score contributors against a test sample"""
     cfg = _read(cfg, _VALUE)
-    result = RunResult()
-    contributors, test_x, model, vcfg = _prepare_value(cfg, result)
+    contributors, test_x, model, vcfg = _prepare_value(cfg, run)
     scores, failures = score_all(contributors, test_x, model, vcfg, workers=_workers())
     if not scores:
         raise DomainError(f"every contributor failed to score: {failures}")
-    scores_path = out / "scores.csv"
-    _write_csv(scores_path, _SCORES_HEADER, _scores_rows(scores))
+    run.csv("scores.csv", _SCORES_HEADER, map(astuple, scores))
     summary = {
         "n_scored": len(scores),
         "failures": failures,
         "weights": vcfg.weights.as_dict(),
         "estimator": vcfg.estimator,
     }
-    result.outputs.append(scores_path)
     if cfg.get("fit_weights", False):
         fit = fit_score_weights(scores)
-        fitted_path = out / "scores_fitted.csv"
-        _write_csv(fitted_path, _SCORES_HEADER, _scores_rows(rescore(scores, fit.weights)))
+        run.csv("scores_fitted.csv", _SCORES_HEADER, map(astuple, rescore(scores, fit.weights)))
         summary["fitted"] = {
             "weights": fit.weights.as_dict(),
             "residual_norm": fit.residual_norm,
             "column_rank": fit.column_rank,
         }
-        result.outputs.append(fitted_path)
-    summary_path = out / "value_summary.json"
-    _write_json(summary_path, summary)
-    result.outputs.append(summary_path)
-    return result
+    run.json("value_summary.json", summary)
 
 
 _MARGINAL = {**_VALUE, "weighting": _string, "permutations": _integer}
 
 
-def run_marginal(cfg: dict, out: Path) -> RunResult:
+def run_marginal(cfg: dict, run: RunResult) -> None:
     """Shapley or leave-one-out marginal values"""
     cfg = _read(cfg, _MARGINAL)
-    result = RunResult()
-    contributors, test_x, model, vcfg = _prepare_value(cfg, result)
+    contributors, test_x, model, vcfg = _prepare_value(cfg, run)
     weighting = CoalitionWeighting(
         kind=cfg.get("weighting", "shapley"),
         **({"mc_permutations": cfg["permutations"]} if "permutations" in cfg else {}),
     )
     report = marginal_values(contributors, weighting, test_x, model, vcfg)
-    marginal_path = out / "marginal.csv"
     # exact enumeration and LOO carry no sampling error: stderr 0.0
     rows = (
         (row["id"], row["value"], row.get("stderr", 0.0))
         for row in report.to_rows()
     )
-    _write_csv(marginal_path, ("contributor_id", "value", "stderr"), rows)
-    summary_path = out / "marginal_summary.json"
-    _write_json(
-        summary_path,
+    run.csv("marginal.csv", _TABLES["marginal"], rows)
+    run.json(
+        "marginal_summary.json",
         {
             "kind": report.kind,
             "permutations": report.permutations,
             "n_contributors": len(report.contributor_ids),
         },
     )
-    result.outputs += [marginal_path, summary_path]
-    return result
 
 
 _GROUNDTRUTH = {**_DATA, "training": _object(_TRAINING)}
 
 
-def run_groundtruth(cfg: dict, out: Path) -> RunResult:
+def run_groundtruth(cfg: dict, run: RunResult) -> None:
     """retrain per contributor, record test metrics"""
     cfg = _read(cfg, _GROUNDTRUTH)
-    result = RunResult()
-    seed, contributors, test_x, test_y = _load_data(cfg, result.inputs)
+    seed, contributors, test_x, test_y = _load_data(cfg, run)
     if test_y is None:
         raise DomainError("ground truth needs a labeled test file (contributor-row schema)")
     if not contributors:
@@ -604,87 +560,43 @@ def run_groundtruth(cfg: dict, out: Path) -> RunResult:
     truths = train_ground_truth(
         contributors, spec, tcfg, test_x, test_y, workers=_workers()
     )
-    path = out / "groundtruth.csv"
-    _write_csv(
-        path,
-        ("contributor_id", "test_metric", "config_digest", "diverged", "epochs", "converged"),
-        (
-            (g.contributor_id, g.test_metric, g.config_digest, int(g.diverged),
-             g.epochs, g.converged)
-            for g in truths
-        ),
-    )
-    result.outputs.append(path)
-    return result
+    run.csv("groundtruth.csv", _TABLES["groundtruth"], map(astuple, truths))
 
 
-def _read_table(path: Path, what: str, parse) -> list:
-    """``parse(row)`` of each row of a CSV file with a header, rows as dicts.
-
-    An unreadable file is a ``ConfigError``.  An empty file, a row whose
-    cells do not match the header, and a cell or column ``parse`` cannot
-    read are a ``DomainError`` naming the file.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.DictReader(handle))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        if not rows:
-            raise ValueError("no rows")
-        if any(None in row or None in row.values() for row in rows):
-            raise ValueError("a row's cells do not match the header")
-        return [parse(row) for row in rows]
-    except (KeyError, ValueError) as exc:
-        raise DomainError(f"{what} file {path} is malformed: {exc}") from exc
+def _score_row(row: dict) -> tuple[str, float]:
+    column = next((c for c in ("total", "value", "test_metric") if c in row), None)
+    if column is None or "contributor_id" not in row:
+        raise ValueError("it needs 'contributor_id' and one of total/value/test_metric")
+    return row["contributor_id"], float(row[column])
 
 
-def _read_scores_csv(path: Path) -> dict[str, float]:
-    def parse(row):
-        column = next((c for c in ("total", "value", "test_metric") if c in row), None)
-        if column is None or "contributor_id" not in row:
-            raise ValueError("it needs 'contributor_id' and one of total/value/test_metric")
-        return row["contributor_id"], float(row[column])
-
-    return dict(_read_table(path, "score", parse))
-
-
-def _read_groundtruth_csv(path: Path) -> list[GroundTruth]:
-    return _read_table(
-        path,
-        "ground-truth",
-        lambda row: GroundTruth(
-            contributor_id=row["contributor_id"],
-            test_metric=float(row["test_metric"]),
-            config_digest=row.get("config_digest", ""),
-            diverged=bool(int(row.get("diverged", "0"))),
-            epochs=int(row["epochs"]) if "epochs" in row else None,
-            converged=int(row["converged"]) if "converged" in row else None,
-        ),
+def _groundtruth_row(row: dict) -> GroundTruth:
+    return GroundTruth(
+        contributor_id=row["contributor_id"],
+        test_metric=float(row["test_metric"]),
+        config_digest=row.get("config_digest", ""),
+        diverged=bool(int(row.get("diverged", "0"))),
+        epochs=int(row["epochs"]) if "epochs" in row else None,
+        converged=int(row["converged"]) if "converged" in row else None,
     )
 
 
 _EVALUATE = {"seed": _integer, "scores": _string, "groundtruth": _string}
 
 
-def run_evaluate(cfg: dict, out: Path) -> RunResult:
+def run_evaluate(cfg: dict, run: RunResult) -> None:
     """correlate scores with ground truth"""
     cfg = _read(cfg, _EVALUATE)
     _required(cfg, "scores", "groundtruth")
-    result = RunResult()
-    scores_path, gt_path = Path(cfg["scores"]), Path(cfg["groundtruth"])
-    scores = _read_scores_csv(scores_path)
-    truths = _read_groundtruth_csv(gt_path)
-    result.inputs += [scores_path, gt_path]
+    scores = dict(run.table(Path(cfg["scores"]), "score", _score_row))
+    truths = run.table(Path(cfg["groundtruth"]), "ground-truth", _groundtruth_row)
     evaluation = evaluate_method(scores, truths)
-    path = out / "correlation.json"
 
     def report(r):
         return {"pearson": r.pearson, "spearman": r.spearman, "kendall": r.kendall}
 
-    _write_json(
-        path,
+    run.json(
+        "correlation.json",
         {
             "n": evaluation.positive.n,
             "best_orientation": evaluation.best_orientation,
@@ -692,8 +604,6 @@ def run_evaluate(cfg: dict, out: Path) -> RunResult:
             "negative": report(evaluation.negative),
         },
     )
-    result.outputs.append(path)
-    return result
 
 
 _BENCH = {
@@ -703,7 +613,7 @@ _BENCH = {
 }
 
 
-def run_bench(cfg: dict, out: Path) -> RunResult:
+def run_bench(cfg: dict, run: RunResult) -> None:
     """time valuation against retraining"""
     cfg = _read(cfg, _BENCH)
     _required(cfg, "seed")
@@ -748,18 +658,14 @@ def run_bench(cfg: dict, out: Path) -> RunResult:
         if valuation.total_seconds > 0
         else float("inf")
     )
-    return RunResult(
-        notes={
-            "runtime": {
-                "n_contributors": n,
-                "valuation_seconds": valuation.total_seconds,
-                "valuation_per_contributor": valuation.per_unit_seconds,
-                "retraining_seconds": retraining.total_seconds,
-                "retraining_per_contributor": retraining.per_unit_seconds,
-                "retraining_over_valuation": ratio,
-            }
-        }
-    )
+    run.notes["runtime"] = {
+        "n_contributors": n,
+        "valuation_seconds": valuation.total_seconds,
+        "valuation_per_contributor": valuation.per_unit_seconds,
+        "retraining_seconds": retraining.total_seconds,
+        "retraining_per_contributor": retraining.per_unit_seconds,
+        "retraining_over_valuation": ratio,
+    }
 
 
 _RUNNERS = {
@@ -793,7 +699,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixval",
         description=__doc__.splitlines()[0],
-        epilog=_COLUMN_ORDERS,
+        epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     version = " ".join(f"{k}={v}" for k, v in _versions().items())
@@ -824,7 +730,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for key in ("seed", "weighting", "permutations"):  # flags override the config
             if getattr(args, key, None) is not None:
                 cfg[key] = getattr(args, key)
-        result = _RUNNERS[args.subcommand](cfg, args.out)
+        run = RunResult(args.out)
+        _RUNNERS[args.subcommand](cfg, run)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2
@@ -842,11 +749,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "versions": _versions(),
         "wall_time_seconds": time.perf_counter() - started,
     }
-    for path in result.inputs:
+    for path in run.inputs:
         manifest["inputs"][str(path)] = _digest(path)
-    for path in result.outputs:
+    for path in run.outputs:
         manifest["outputs"][str(path)] = _digest(path)
-    manifest.update(result.notes)
+    manifest.update(run.notes)
     print(json.dumps(manifest, indent=2))
     return 0
 

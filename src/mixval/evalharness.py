@@ -53,10 +53,11 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr_scale <= 0 or self.lr_cap <= 0:
-            raise DomainError("learning-rate scale and cap must be > 0")
-        if self.tol <= 0 or self.max_epochs < 1 or self.eigen_cap < 1:
-            raise DomainError("tol, max_epochs and eigen_cap must be positive")
+        # the chained comparisons are False for NaN as well as for infinities
+        if not (0 < self.lr_scale < math.inf and 0 < self.lr_cap < math.inf):
+            raise DomainError("learning-rate scale and cap must be finite and > 0")
+        if not 0 < self.tol < math.inf or self.max_epochs < 1 or self.eigen_cap < 1:
+            raise DomainError("tol must be finite and > 0, max_epochs and eigen_cap >= 1")
         if self.restarts < 1:
             raise DomainError(f"restarts must be >= 1, got {self.restarts}")
         if self.metric not in _METRICS:

@@ -10,13 +10,16 @@ are datasets of (feature, label) samples tagged by knowledge index.
 from __future__ import annotations
 
 import csv
+import io
 import os
-from dataclasses import dataclass, field
+import uuid
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ._seeds import substream
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 # substream tags under the root seed
 _PROTO_STREAM = 0
@@ -276,29 +279,82 @@ def make_contributors(
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: one file per contributor, one row per sample.
+# CSV files.  Every file the package reads or writes goes through
+# read_csv, write_csv and write_text; the contributor-row format is below.
+
+
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 atomically: a new temp file in the
+    same directory (mode from the umask), then a rename, so a failed write
+    leaves no partial file."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _cell(value) -> str:
+    """A float as its exact repr, a boolean as 0/1, anything else as str."""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(int(value) if isinstance(value, bool) else value)
+
+
+def write_csv(path: str | os.PathLike, header, rows) -> None:
+    """Write a header and rows with LF line endings, atomically.
+
+    Cells are quoted only where CSV needs it (a comma, quote or newline).
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    write_text(path, buffer.getvalue())
+
+
+def read_csv(path: str | os.PathLike, what: str) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV file; blank lines are skipped.
+
+    An unreadable file raises :class:`ConfigError`; a file with no data
+    rows or broken quoting raises :class:`DomainError`.  ``what`` names
+    the file's role in both messages.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = [row for row in csv.reader(handle) if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise DomainError(f"{what} file {path} is malformed: {exc}") from exc
+    if len(rows) < 2:
+        raise DomainError(f"{what} file {path} has no data rows")
+    return rows[0], rows[1:]
+
+
+# One file per contributor, one row per sample.
 
 CSV_HEADER = ("id", "knowledge_index", "is_real", "label")
 
 
 def write_contributors(contributors: list[Contributor], directory: str) -> list[str]:
     """Write each contributor to ``<directory>/<id>.csv``; returns the paths."""
-    os.makedirs(directory, exist_ok=True)
     paths = []
     for c in contributors:
         path = os.path.join(directory, f"{c.id}.csv")
-        dim = c.pooled_x().shape[1]
-        header = list(CSV_HEADER) + [f"f{j}" for j in range(dim)]
+        header = [*CSV_HEADER, *(f"f{j}" for j in range(c.pooled_x().shape[1]))]
         rows = []
         for is_real, x, y, idx in ((1, c.real_x, c.real_y, c.real_idx),
                                    (0, c.synth_x, c.synth_y, c.synth_idx)):
             for xi, yi, ki in zip(x, y, idx):
-                rows.append([c.id, int(ki), is_real, repr(float(yi))]
-                            + [repr(float(v)) for v in xi])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+                rows.append([c.id, int(ki), is_real, float(yi), *xi.tolist()])
+        write_csv(path, header, rows)
         paths.append(path)
     return paths
 
@@ -321,23 +377,29 @@ def parse_contributor_rows(
     return idx, is_real, y, x
 
 
-def read_contributors(directory: str) -> list[Contributor]:
+def contributor_files(directory: str | os.PathLike) -> list[Path]:
+    """The ``*.csv`` files of a contributor directory, sorted by name.
+
+    An unreadable directory raises :class:`ConfigError`.
+    """
+    try:
+        names = sorted(f for f in os.listdir(directory) if f.endswith(".csv"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read contributor directory {directory}: {exc}") from exc
+    return [Path(directory) / name for name in names]
+
+
+def read_contributors(directory: str | os.PathLike) -> list[Contributor]:
     """Load every ``*.csv`` in a directory written by :func:`write_contributors`."""
-    names = sorted(f for f in os.listdir(directory) if f.endswith(".csv"))
-    if not names:
-        raise DomainError(f"no contributor CSV files in {directory!r}")
+    paths = contributor_files(directory)
+    if not paths:
+        raise DomainError(f"no contributor CSV files in {str(directory)!r}")
     out = []
-    for name in names:
-        path = os.path.join(directory, name)
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header[: len(CSV_HEADER)]) != CSV_HEADER:
-                raise DomainError(f"{path}: unexpected contributor CSV header")
-            rows = list(reader)
-        if not rows:
-            raise DomainError(f"{path}: contributor file has no samples")
-        idx, is_real, y, x = parse_contributor_rows(rows, path)
+    for path in paths:
+        header, rows = read_csv(path, "contributor")
+        if tuple(header[: len(CSV_HEADER)]) != CSV_HEADER:
+            raise DomainError(f"{path}: unexpected contributor CSV header")
+        idx, is_real, y, x = parse_contributor_rows(rows, str(path))
         out.append(
             Contributor(
                 id=rows[0][0],

@@ -251,7 +251,8 @@ class NTKGram:
             raise DomainError(f"Gram matrix must be square and nonempty, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise NumericalError("Gram matrix contains non-finite entries")
-        if np.abs(m - m.T).max() > 1e-9:
+        # syrk Grams are exactly symmetric: skip the n x n temporaries then
+        if not np.array_equal(m, m.T) and np.abs(m - m.T).max() > 1e-9:
             raise NumericalError("Gram matrix asymmetry exceeds 1e-9")
         d = np.diag(m)
         if d.min() < -1e-12 or d.max() > self.gradient_norm_bound**2 + 1e-9:

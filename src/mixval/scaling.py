@@ -366,6 +366,10 @@ def detect_breakpoints(
     8 points per decade; edge points where the smoothing window is
     truncated are excluded from the search.
     """
+    if smooth_window < 1:
+        raise DomainError(f"smooth_window must be >= 1, got {smooth_window}")
+    if not 0 <= min_curvature < math.inf:
+        raise DomainError(f"min_curvature must be finite and >= 0, got {min_curvature}")
     density = points_per_decade(curve.sample_sizes)
     if density < 8.0:
         raise GridError(

@@ -407,6 +407,42 @@ def test_simulate_rejects_pi_and_grid_together(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "grid, clash",
+    [([0.1234561, 0.1234564], "0.1234561 and 0.1234564"), ([0.5, 0.25, 0.5], "0.5 and 0.5")],
+)
+def test_simulate_rejects_pi_values_sharing_a_file_tag(tmp_path, capsys, grid, clash):
+    # f"{pi:g}" keeps 6 significant digits: 0.1234561 and 0.1234564 both
+    # name their curve curve_pi0p123456.csv
+    payload = simulate_payload(pi_grid=grid)
+    del payload["pi"]
+    cfg = write_config(tmp_path, "sim.json", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and "error[config]" in err
+    assert clash in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "updates",
+    [
+        {"smooth_window": -3},
+        {"smooth_window": 0},
+        {"min_curvature": float("nan")},
+        {"min_curvature": float("inf")},
+        {"min_curvature": -0.01},
+    ],
+)
+def test_simulate_rejects_bad_breakpoint_arguments(tmp_path, capsys, updates):
+    cfg = write_config(tmp_path, "sim.json", simulate_payload(**updates))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 3 and "error[domain]" in err
+    assert next(iter(updates)) in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # value / marginal.
 
@@ -692,3 +728,64 @@ def test_read_samples_malformed(tmp_path):
     path.write_text("a,b\n1.0,inf\n", encoding="utf-8")
     with pytest.raises(DomainError, match="non-finite"):
         cli.read_samples(path)
+
+
+# ---------------------------------------------------------------------------
+# File handling: one reader and one writer for every file.
+
+
+def test_missing_contributor_directory_exits_2(tmp_path, capsys):
+    payload = value_payload()
+    payload["contributors"] = str(tmp_path / "absent")
+    cfg = write_config(tmp_path, "val.json", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "value", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "error[config]" in err and str(tmp_path / "absent") in err
+    assert not out.exists()
+
+
+def test_ids_with_commas_and_quotes_round_trip(tmp_path, capsys):
+    contributors = make_contributors(
+        [(8, 4), (6, 6), (3, 9)], small_mixture(), feature_dim=4, seed=23
+    )
+    ids = ["a,b", 'say "x"', "plain"]
+    data_dir = tmp_path / "data"
+    write_contributors(
+        [dataclasses.replace(c, id=i) for c, i in zip(contributors, ids)], str(data_dir)
+    )
+    for command, payload in (("value", value_payload()), ("groundtruth", groundtruth_payload())):
+        payload["contributors"] = str(data_dir)
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        assert run_cli(capsys, command, "--config", str(cfg), "--out", str(tmp_path))[0] == 0
+    with open(tmp_path / "scores.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [r[0] for r in rows[1:]] == sorted(ids)  # files are read in name order
+    assert all(len(r) == len(cli._SCORES_HEADER) for r in rows)
+    ev = {"scores": str(tmp_path / "scores.csv"), "groundtruth": str(tmp_path / "groundtruth.csv")}
+    cfg = write_config(tmp_path, "ev.json", ev)
+    code, _, err = run_cli(capsys, "evaluate", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0, err
+    assert json.loads((tmp_path / "correlation.json").read_text())["n"] == 3
+
+
+@pytest.mark.parametrize(
+    "table, command, name",
+    [
+        ("curve", "simulate", "curve_pi0p5.csv"),
+        ("scores", "value", "scores.csv"),
+        ("marginal", "marginal", "marginal.csv"),
+        ("groundtruth", "groundtruth", "groundtruth.csv"),
+    ],
+)
+def test_help_lists_the_columns_runners_write(tmp_path, capsys, table, command, name):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    epilog = capsys.readouterr().out.split("output columns (fixed order):\n")[1]
+    listed = {line.split()[0]: line.split()[2] for line in epilog.splitlines()[:4]}
+    assert list(listed) == ["curve", "scores", "marginal", "groundtruth"]
+    cfg = write_config(tmp_path, "cfg.json", edited_payload(tmp_path, command, {}))
+    out = tmp_path / "out"
+    assert run_cli(capsys, command, "--config", str(cfg), "--out", str(out))[0] == 0
+    header = (out / name).read_text(encoding="utf-8").splitlines()[0]
+    assert listed[table] == header

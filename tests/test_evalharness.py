@@ -65,6 +65,14 @@ def test_training_config_validation_and_digest():
     assert TrainingConfig(seed=1).digest() != a.digest()
 
 
+@pytest.mark.parametrize("key", ["lr_scale", "lr_cap", "tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_training_config_rejects_non_finite_values(key, value):
+    # NaN fails every comparison, so a `<= 0` test alone let it through
+    with pytest.raises(DomainError, match="finite"):
+        TrainingConfig(**{key: value})
+
+
 def test_ground_truth_validation():
     with pytest.raises(DomainError):
         GroundTruth("c0", 1.2, "abc")

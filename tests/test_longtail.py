@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixval.errors import DomainError
+from mixval.errors import ConfigError, DomainError
 from mixval.longtail import (
     Contributor,
     MixtureSpec,
@@ -21,8 +21,10 @@ from mixval.longtail import (
     pmf,
     pool_contributors,
     read_contributors,
+    read_csv,
     sample_knowledge,
     write_contributors,
+    write_csv,
 )
 
 from conftest import small_mixture
@@ -245,3 +247,34 @@ def test_write_read_roundtrip(tmp_path, contributors_small):
 def test_read_contributors_empty_dir(tmp_path):
     with pytest.raises(DomainError):
         read_contributors(str(tmp_path))
+
+
+def test_written_contributor_files_use_lf_and_round_trip(tmp_path, contributors_small):
+    [path] = write_contributors(contributors_small[:1], str(tmp_path))
+    raw = open(path, "rb").read()
+    assert b"\r" not in raw and raw.endswith(b"\n")
+    [back] = read_contributors(str(tmp_path))
+    assert np.array_equal(back.pooled_x(), contributors_small[0].pooled_x())
+    assert np.array_equal(back.pooled_y(), contributors_small[0].pooled_y())
+
+
+def test_read_csv_errors(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read samples"):
+        read_csv(tmp_path / "absent.csv", "samples")
+    with pytest.raises(ConfigError, match="contributor directory"):
+        read_contributors(str(tmp_path / "absent"))
+    path = tmp_path / "header_only.csv"
+    path.write_text("a,b\n\n", encoding="utf-8")
+    with pytest.raises(DomainError, match="no data rows"):
+        read_csv(path, "samples")
+
+
+def test_write_csv_quotes_only_where_needed(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [("a,b", 0.1, True), ('q"t', 2.0, False), ("c", 1, None)]
+    write_csv(path, ("id", "x", "flag"), rows)
+    assert path.read_bytes() == b'id,x,flag\n"a,b",0.1,1\n"q""t",2.0,0\nc,1,None\n'
+    header, back = read_csv(path, "table")
+    assert header == ["id", "x", "flag"]
+    assert back == [["a,b", "0.1", "1"], ['q"t', "2.0", "0"], ["c", "1", "None"]]
+    assert not list(tmp_path.glob("*.tmp"))

@@ -280,6 +280,18 @@ def test_gram_validation():
         ntk_gram(spec, init_params(spec), np.zeros((0, 3)))
 
 
+def test_gram_symmetry_tolerance():
+    base = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
+    for gap, accepted in ((0.0, True), (1e-12, True), (1e-8, False)):
+        m = base.copy()
+        m[0, 2] += gap
+        if accepted:
+            assert NTKGram(matrix=m, gradient_norm_bound=2.0).n == 3
+        else:
+            with pytest.raises(NumericalError, match="asymmetry"):
+                NTKGram(matrix=m, gradient_norm_bound=2.0)
+
+
 # ---------------------------------------------------------------------------
 # Bound term.
 
