@@ -12,10 +12,10 @@ sampled into per-contributor real/synthetic mixtures):
   Shapley / leave-one-out aggregations, and a toy retraining harness
   that validates score rankings against ground truth.
 
-The ``mixval`` command line exposes both; see ``mixval --help``.
+The ``mixval`` command line (``mixval.cli``, also ``python -m mixval``)
+exposes both; see ``mixval --help``.
 """
 
-from .cli import __version__, main
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -112,9 +112,10 @@ from .valuation import (
     term_matrix,
 )
 
+__version__ = "0.1.0"
+
 __all__ = [
     "__version__",
-    "main",
     # errors
     "MixvalError",
     "DomainError",

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-One executable, eight subcommands:
+One executable (``mixval``, or ``python -m mixval``), eight subcommands:
 
   simulate     scaling-law curves and breakpoint reports over a pi grid
   discrepancy  multi-kernel MMD between two sample files
@@ -13,7 +13,8 @@ One executable, eight subcommands:
 
 Configs are JSON; an unknown key or a value of the wrong JSON type is a
 config error.  Every output file is CSV or JSON, UTF-8 with LF line
-endings, written atomically (temp file plus rename).  A manifest with
+endings, written atomically (temp file plus rename) once the run has
+succeeded, so a failed run writes no file.  A manifest with
 input/output digests, the seed, library versions and wall time is
 printed to stdout; wall time never goes into output files, so a rerun
 with the same config and seed is byte identical.  Exit codes: 0
@@ -26,17 +27,20 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
 import sys
 import time
+from collections import Counter
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from ._seeds import derive_seed
 from .errors import ConfigError, DomainError, MixvalError, NumericalError
 from .evalharness import (
@@ -51,14 +55,12 @@ from .longtail import (
     CSV_HEADER,
     Contributor,
     MixtureSpec,
-    PowerLawSpec,
-    TruncatedPowerLawSpec,
     contributor_files,
+    csv_text,
     make_contributors,
     parse_contributor_rows,
     read_contributors,
     read_csv,
-    write_csv,
     write_text,
 )
 from .mmd import DistanceBlocks, MultiKernelSpec, mmd
@@ -79,8 +81,6 @@ from .valuation import (
     rescore,
     score_all,
 )
-
-__version__ = "0.1.0"
 
 # the columns of each output table, in file order
 _TABLES = {
@@ -214,27 +214,33 @@ def _path_or(schema: dict):
     return lambda value, key: value if isinstance(value, str) else _read(value, schema, key)
 
 
-_MIXTURE = {"beta": _real, "cutoff": _integer, "support_max": _integer}
+# the reader of each annotation in the library signatures below; every module
+# uses ``from __future__ import annotations``, so an annotation is its text
+_READERS = {
+    "int": _integer, "float": _real, "str": _string,
+    "int | None": _optional(_integer), "float | None": _optional(_real),
+    "tuple[int, ...]": _list(_integer), "tuple[float, ...]": _list(_real),
+}
+
+
+def _params(fn, *skip: str) -> dict:
+    """The schema of ``fn``'s parameters but ``skip``; fails on an unknown type."""
+    return {
+        name: _READERS[param.annotation]
+        for name, param in inspect.signature(fn).parameters.items()
+        if name not in skip
+    }
+
+
+_MIXTURE = _params(MixtureSpec.power_law, "pi")
 _GENERATOR = {
     "mixture": _object(_MIXTURE), "feature_dim": _integer, "noise_scale": _real,
     "seed": _integer,
 }
-# the fields of MLPSpec, TrainingConfig (but seed), ValuationWeights and
-# ValuationConfig (but seed and weights)
-_MODEL = {
-    "layer_widths": _list(_integer), "activation": _string, "output_squash": _string,
-    "init_seed": _integer,
-}
-_TRAINING = {
-    "lr_scale": _real, "lr_cap": _real, "tol": _real, "max_epochs": _integer,
-    "eigen_cap": _integer, "metric": _string, "restarts": _integer,
-}
-_WEIGHTS = {"w1": _real, "w2": _real, "w3": _real, "w4": _real}
-_VALUATION = {
-    "estimator": _string, "kernel_scales": _list(_real), "ntk_cap": _optional(_integer),
-    "mmd_cap": _optional(_integer), "test_cap": _optional(_integer),
-    "ridge": _optional(_real),
-}
+_MODEL = _params(MLPSpec)
+_TRAINING = _params(TrainingConfig, "seed")
+_WEIGHTS = _params(ValuationWeights)
+_VALUATION = _params(ValuationConfig, "seed", "weights")
 
 # the keys of every config that values or retrains contributors
 _DATA = {
@@ -274,12 +280,12 @@ def read_samples(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
 
 @dataclass
 class RunResult:
-    """A run's output directory, the files it read and wrote (in order,
-    for the manifest) and extra manifest entries."""
+    """A run's output directory, the files it read (in order, for the manifest),
+    each output's text by path (``main`` writes them on success) and notes."""
 
     out: Path
     inputs: list[Path] = field(default_factory=list)
-    outputs: list[Path] = field(default_factory=list)
+    outputs: dict[Path, str] = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
     def samples(self, path: Path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -291,28 +297,31 @@ class RunResult:
         return read_contributors(directory)
 
     def table(self, path: Path, what: str, parse) -> list:
-        """``parse(row)`` of each row of a CSV file with a header, rows as dicts.
+        """``parse(row)`` of each row, as a dict, of a CSV file of contributor rows.
 
         An unreadable file is a ``ConfigError``.  An empty file, a row whose
-        cells do not match the header, and a cell or column ``parse`` cannot
-        read are a ``DomainError`` naming the file.
+        cells do not match the header, a cell or column ``parse`` cannot
+        read and a repeated contributor_id are a ``DomainError`` naming the file.
         """
         self.inputs.append(path)
         header, rows = read_csv(path, what)
         try:
             if any(len(row) != len(header) for row in rows):
                 raise ValueError("a row's cells do not match the header")
-            return [parse(dict(zip(header, row))) for row in rows]
+            records = [dict(zip(header, row)) for row in rows]
+            parsed = [parse(record) for record in records]
+            [(cid, count)] = Counter(r["contributor_id"] for r in records).most_common(1)
+            if count > 1:
+                raise ValueError(f"contributor id {cid!r} appears more than once")
+            return parsed
         except (KeyError, ValueError) as exc:
             raise DomainError(f"{what} file {path} is malformed: {exc}") from exc
 
     def csv(self, name: str, header: Sequence[str], rows) -> None:
-        write_csv(self.out / name, header, rows)
-        self.outputs.append(self.out / name)
+        self.outputs[self.out / name] = csv_text(header, rows)
 
     def json(self, name: str, obj) -> None:
-        write_text(self.out / name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-        self.outputs.append(self.out / name)
+        self.outputs[self.out / name] = json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +329,9 @@ class RunResult:
 
 
 def _generate(gen: dict, plan, default_seed: int) -> list[Contributor]:
-    mix = {"beta": 1.5, "cutoff": 20, "support_max": 200, **gen.get("mixture", {})}
-    mixture = MixtureSpec(
-        pi=0.5,
-        real_dist=PowerLawSpec(mix["beta"], mix["support_max"]),
-        synth_dist=TruncatedPowerLawSpec(mix["beta"], mix["cutoff"], mix["support_max"]),
-    )
     return make_contributors(
         plan,
-        mixture,
+        MixtureSpec.power_law(**gen.get("mixture", {})),
         gen.get("feature_dim", 8),
         gen.get("seed", default_seed),
         **_given(gen, ("noise_scale",)),
@@ -365,14 +368,10 @@ def _load_data(cfg: dict, run: RunResult):
 # its help text.
 
 
-_BREAKPOINTS = {"smooth_window": _integer, "min_curvature": _real}
+_BREAKPOINTS = _params(detect_breakpoints, "curve")
 _SIMULATE = {
-    "seed": _integer,
-    "params": _object({
-        "a": _real, "alpha": _real, "b": _real, "lam": _real, "beta": _real,
-        "cutoff": _integer, "support_max": _integer,
-    }),
-    "pi": _real, "pi_grid": _list(_real), "n_min": _real, "n_max": _real,
+    "seed": _integer, "params": _object(_params(ScalingParams, "pi")), "pi": _real,
+    "pi_grid": _list(_real), "n_min": _real, "n_max": _real,
     "points_per_decade": _integer, **_BREAKPOINTS,
 }
 
@@ -552,8 +551,6 @@ def run_groundtruth(cfg: dict, run: RunResult) -> None:
     seed, contributors, test_x, test_y = _load_data(cfg, run)
     if test_y is None:
         raise DomainError("ground truth needs a labeled test file (contributor-row schema)")
-    if not contributors:
-        raise DomainError("no contributors found")
     dim = contributors[0].pooled_x().shape[1]
     spec = _model_spec(cfg, dim)
     tcfg = TrainingConfig(seed=seed, **cfg.get("training", {}))
@@ -741,6 +738,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MixvalError as exc:
         print(f"error[domain]: {exc}", file=sys.stderr)
         return 3
+    for path, text in run.outputs.items():
+        write_text(path, text)
     manifest = {
         "subcommand": args.subcommand,
         "seed": cfg.get("seed"),

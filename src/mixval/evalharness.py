@@ -15,8 +15,9 @@ import hashlib
 import logging
 import math
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -64,19 +65,8 @@ class TrainingConfig:
             raise DomainError(f"metric must be one of {_METRICS}, got {self.metric!r}")
 
     def digest(self) -> str:
-        text = repr(
-            (
-                self.lr_scale,
-                self.lr_cap,
-                self.tol,
-                self.max_epochs,
-                self.eigen_cap,
-                self.metric,
-                self.restarts,
-                self.seed,
-            )
-        )
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        """Twelve hex digits of the sha256 of the field values, in field order."""
+        return hashlib.sha256(repr(astuple(self)).encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -332,17 +322,20 @@ class MethodEvaluation:
         return self.positive if self.best_orientation == 1 else self.negative
 
 
+def _check_unique(ids, what: str) -> None:
+    repeated = [i for i, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise DomainError(f"contributor id {repeated[0]!r} repeats in the {what}")
+
+
 def _as_score_map(scores) -> dict[str, float]:
     if isinstance(scores, Mapping):
         return {str(k): float(v) for k, v in scores.items()}
-    out = {}
-    for s in scores:
-        if not isinstance(s, ValuationScore):
-            raise DomainError(
-                "scores must be a mapping id -> value or ValuationScore objects"
-            )
-        out[s.contributor_id] = s.total
-    return out
+    scores = list(scores)
+    if not all(isinstance(s, ValuationScore) for s in scores):
+        raise DomainError("scores must be a mapping id -> value or ValuationScore objects")
+    _check_unique((s.contributor_id for s in scores), "scores")
+    return {s.contributor_id: s.total for s in scores}
 
 
 def evaluate_method(
@@ -351,9 +344,10 @@ def evaluate_method(
     """Correlate scores with ground truth over aligned contributor ids.
 
     Diverged ground-truth entries are excluded; fewer than 2 aligned
-    pairs is an error.
+    pairs, or an id that repeats in either input, is an error.
     """
     score_map = _as_score_map(scores)
+    _check_unique((g.contributor_id for g in ground_truth), "ground truth")
     aligned = [
         (score_map[g.contributor_id], g.test_metric)
         for g in ground_truth
@@ -437,15 +431,7 @@ def _perturb_contributor(
     if label_noise != 0.0:
         # wrap into [0, 1) so noisy labels stay in the label range
         labels = (labels + label_noise * noise_rng.standard_normal(len(labels))) % 1.0
-    return Contributor(
-        id=c.id,
-        real_x=c.real_x,
-        real_y=c.real_y,
-        real_idx=c.real_idx,
-        synth_x=shifted,
-        synth_y=labels,
-        synth_idx=c.synth_idx,
-    )
+    return replace(c, synth_x=shifted, synth_y=labels)
 
 
 def make_shift_fixture(
@@ -455,10 +441,6 @@ def make_shift_fixture(
     shift: float | Sequence[float] = 1.2,
     label_noise: float | Sequence[float] = 0.0,
     test_size: int = 200,
-    beta: float = 1.5,
-    cutoff: int = 20,
-    support_max: int = 200,
-    noise_scale: float = 0.1,
     per_contributor_directions: bool = False,
     paired: bool = False,
     seed: int = 0,
@@ -477,10 +459,8 @@ def make_shift_fixture(
     only in mixture ratio and injected degradation, not in which
     knowledge they drew.  The test sample is an independent draw from
     the real distribution, so it shares the feature geometry of the
-    real parts.
+    real parts.  Knowledge follows the default ``MixtureSpec.power_law``.
     """
-    from .longtail import PowerLawSpec, TruncatedPowerLawSpec
-
     if samples_each < 2 or test_size < 2:
         raise DomainError("samples_each and test_size must be >= 2")
 
@@ -496,11 +476,7 @@ def make_shift_fixture(
 
     shifts = per_contributor(shift, "shift")
     noises = per_contributor(label_noise, "label_noise")
-    mixture = MixtureSpec(
-        pi=0.5,
-        real_dist=PowerLawSpec(beta, support_max),
-        synth_dist=TruncatedPowerLawSpec(beta, cutoff, support_max),
-    )
+    mixture = MixtureSpec.power_law()
     plan = []
     for pi in pis:
         if not 0.0 <= pi <= 1.0:
@@ -508,9 +484,7 @@ def make_shift_fixture(
         n_real = int(round(pi * samples_each))
         plan.append((n_real, samples_each - n_real))
     if paired:
-        pool = make_contributors(
-            [(samples_each, samples_each)], mixture, feature_dim, seed, noise_scale
-        )[0]
+        [pool] = make_contributors([(samples_each, samples_each)], mixture, feature_dim, seed)
         raw = [
             Contributor(
                 id=f"c{i:03d}",
@@ -524,7 +498,7 @@ def make_shift_fixture(
             for i, (n_real, _) in enumerate(plan)
         ]
     else:
-        raw = make_contributors(plan, mixture, feature_dim, seed, noise_scale)
+        raw = make_contributors(plan, mixture, feature_dim, seed)
 
     directions = np.empty((len(pis), feature_dim))
     for i in range(len(pis)):
@@ -536,13 +510,9 @@ def make_shift_fixture(
         for i, (c, s, d, g) in enumerate(zip(raw, shifts, directions, noises))
     ]
 
-    test = make_contributors(
-        [(test_size, 0)],
-        mixture,
-        feature_dim,
-        derive_seed(seed, "harness-test"),
-        noise_scale,
-    )[0]
+    [test] = make_contributors(
+        [(test_size, 0)], mixture, feature_dim, derive_seed(seed, "harness-test")
+    )
     return ShiftFixture(
         contributors=contributors,
         test_x=test.real_x,

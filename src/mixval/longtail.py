@@ -88,6 +88,18 @@ class MixtureSpec:
         if self.real_dist.support_max != self.synth_dist.support_max:
             raise DomainError("real and synthetic distributions must share support_max")
 
+    @classmethod
+    def power_law(
+        cls, beta: float = 1.5, cutoff: int = 20, support_max: int = 200, pi: float = 0.5
+    ) -> MixtureSpec:
+        """The full power law and its head truncated at ``cutoff``, sharing
+        ``beta`` and ``support_max``; the defaults are the generator's."""
+        return cls(
+            pi,
+            PowerLawSpec(beta, support_max),
+            TruncatedPowerLawSpec(beta, cutoff, support_max),
+        )
+
     @property
     def support_max(self) -> int:
         return self.real_dist.support_max
@@ -280,7 +292,7 @@ def make_contributors(
 
 # ---------------------------------------------------------------------------
 # CSV files.  Every file the package reads or writes goes through
-# read_csv, write_csv and write_text; the contributor-row format is below.
+# read_csv, csv_text and write_text; the contributor-row format is below.
 
 
 def write_text(path: str | os.PathLike, text: str) -> None:
@@ -307,8 +319,8 @@ def _cell(value) -> str:
     return str(int(value) if isinstance(value, bool) else value)
 
 
-def write_csv(path: str | os.PathLike, header, rows) -> None:
-    """Write a header and rows with LF line endings, atomically.
+def csv_text(header, rows) -> str:
+    """A header and rows as CSV text with LF line endings.
 
     Cells are quoted only where CSV needs it (a comma, quote or newline).
     """
@@ -316,7 +328,12 @@ def write_csv(path: str | os.PathLike, header, rows) -> None:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_cell(v) for v in row] for row in rows)
-    write_text(path, buffer.getvalue())
+    return buffer.getvalue()
+
+
+def write_csv(path: str | os.PathLike, header, rows) -> None:
+    """Write :func:`csv_text` of a header and rows to ``path``, atomically."""
+    write_text(path, csv_text(header, rows))
 
 
 def read_csv(path: str | os.PathLike, what: str) -> tuple[list[str], list[list[str]]]:

@@ -14,13 +14,13 @@ boundaries sit near n = k**beta and n = k**beta / pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError, GridError
-from .longtail import MixtureSpec, PowerLawSpec, TruncatedPowerLawSpec
+from .longtail import MixtureSpec
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,7 @@ class ScalingParams:
         return self.b * np.asarray(i, dtype=float) ** (-self.lam)
 
     def mixture(self) -> MixtureSpec:
-        return MixtureSpec(
-            pi=self.pi,
-            real_dist=PowerLawSpec(self.beta, self.support_max),
-            synth_dist=TruncatedPowerLawSpec(self.beta, self.cutoff, self.support_max),
-        )
+        return MixtureSpec.power_law(self.beta, self.cutoff, self.support_max, self.pi)
 
     @property
     def breakpoint_first(self) -> float:
@@ -312,12 +308,7 @@ class BreakpointReport:
     curvature: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "predicted_first": self.predicted_first,
-            "predicted_second": self.predicted_second,
-            "detected_first": self.detected_first,
-            "detected_second": self.detected_second,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "curvature"}
 
 
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:

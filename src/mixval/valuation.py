@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,10 +44,10 @@ class ValuationWeights:
                 raise DomainError(f"weight {name} must be finite, got {w}")
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.w1, self.w2, self.w3, self.w4])
+        return np.array(astuple(self))
 
     def as_dict(self) -> dict[str, float]:
-        return {"w1": self.w1, "w2": self.w2, "w3": self.w3, "w4": self.w4}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -458,8 +458,8 @@ def exact_shapley(n: int, value_fn: ValueFn) -> np.ndarray:
         raise DomainError("need at least one contributor")
     if n > _EXACT_SHAPLEY_MAX:
         raise DomainError(
-            f"exact enumeration capped at {_EXACT_SHAPLEY_MAX} contributors; "
-            "use permutation sampling"
+            f"{n} contributors exceed the exact-enumeration cap {_EXACT_SHAPLEY_MAX}; "
+            "sample permutations instead (mc_permutations, the CLI's 'permutations' key)"
         )
     values = {}
     for mask in range(1 << n):
@@ -551,11 +551,6 @@ def marginal_values(
     if weighting.kind == "loo":
         return MarginalReport(ids, loo_values(n, value_fn), None, "loo", 0)
     if weighting.mc_permutations == 0:
-        if n > _EXACT_SHAPLEY_MAX:
-            raise DomainError(
-                f"{n} contributors exceed the exact-enumeration cap "
-                f"{_EXACT_SHAPLEY_MAX}; set mc_permutations"
-            )
         return MarginalReport(ids, exact_shapley(n, value_fn), None, "shapley", 0)
     phi, stderr = sampled_shapley(
         n, value_fn, weighting.mc_permutations, seed=config.seed

@@ -4,15 +4,19 @@ import csv
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixval
 from mixval import cli
 from mixval.errors import DomainError, NumericalError
 from mixval.evalharness import TrainingConfig
-from mixval.longtail import make_contributors, write_contributors
+from mixval.longtail import TruncatedPowerLawSpec, make_contributors, write_contributors
 from mixval.ntk import MLPSpec
 from mixval.valuation import ValuationConfig, ValuationWeights
 
@@ -78,6 +82,18 @@ def test_version_flag(capsys):
     assert "mixval=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("module", ["mixval", "mixval.cli"])
+def test_python_dash_m_runs_without_warnings(module):
+    src = str(Path(mixval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--version"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"mixval={mixval.__version__} ")
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     code, _, err = run_cli(
@@ -103,6 +119,12 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
     assert code == 2
     assert "typo_key" in err
+    assert not out.exists()
+    # pi is a ScalingParams field, but simulate sets it from 'pi' or 'pi_grid'
+    cfg = write_config(tmp_path, "sim.json", {"params": {"pi": 0.5}})
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "unknown keys in config section 'params': pi" in err
     assert not out.exists()
 
 
@@ -231,6 +253,8 @@ def test_config_schemas_match_library_fields():
     assert set(cli._WEIGHTS) == names(ValuationWeights)
     assert set(cli._MODEL) == names(MLPSpec)
     assert set(cli._VALUATION) == names(ValuationConfig, "seed", "weights")
+    assert set(cli._MIXTURE) == names(TruncatedPowerLawSpec)
+    assert set(cli._BREAKPOINTS) == {"smooth_window", "min_curvature"}
 
 
 def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
@@ -264,6 +288,14 @@ def test_domain_error_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "value", "--config", str(cfg), "--out", str(out))
     assert code == 3
     assert "error[domain]" in err and "ridge" in err
+    # exact Shapley enumerates at most 12 contributors
+    payload = value_payload()
+    payload["contributors"] = {"plan": [[2, 1]] * 13, "feature_dim": 4}
+    cfg = write_config(tmp_path, "marg.json", payload)
+    code, _, err = run_cli(capsys, "marginal", "--config", str(cfg), "--out", str(out))
+    assert code == 3
+    assert "error[domain]" in err and "13 contributors" in err and "'permutations'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -308,9 +340,12 @@ def test_numerical_error_exits_4(tmp_path, capsys, monkeypatch):
                    "a,0.9,d,0\nb,0.7\nc,0.2,d,0\n"),
         ("gt.csv", "contributor_id,test_metric,config_digest,diverged,epochs,converged\n"
                    "a,0.9,d,0,40,1\nb,0.7,d,0,x,1\nc,0.2,d,0,40,1\n"),
+        ("scores.csv", "contributor_id,total\na,0.5\nb,0.6\na,0.1\n"),
+        ("gt.csv", "contributor_id,test_metric,config_digest,diverged\n"
+                   "a,0.9,d,0\nc,0.7,d,0\nc,0.2,d,0\n"),
     ],
     ids=["scores-cell", "scores-short-row", "groundtruth-cell", "groundtruth-short-row",
-         "groundtruth-epochs-cell"],
+         "groundtruth-epochs-cell", "scores-repeated-id", "groundtruth-repeated-id"],
 )
 def test_malformed_evaluate_input_exits_3(tmp_path, capsys, name, text):
     cfg = write_config(tmp_path, "ev.json", edited_payload(tmp_path, "evaluate", {}))
@@ -335,6 +370,16 @@ def test_failure_leaves_no_partial_files(tmp_path, capsys):
     assert code == 3
     assert not out.exists()
     assert not list(tmp_path.rglob("*.tmp"))
+    # runs that fail after making their first outputs write none of them
+    value = {**value_payload(), "contributors": {"plan": [[6, 4]], "feature_dim": 4},
+             "fit_weights": True}
+    grid = simulate_payload(pi_grid=[0.5, 0.0])
+    del grid["pi"]
+    for command, payload in (("value", value), ("simulate", grid)):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+        assert code == 3, err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

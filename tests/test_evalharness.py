@@ -63,6 +63,12 @@ def test_training_config_validation_and_digest():
     assert a.digest() == b.digest()
     assert len(a.digest()) == 12
     assert TrainingConfig(seed=1).digest() != a.digest()
+    # pinned: config_digest columns written before stay comparable
+    assert a.digest() == "9373e3c48c97"
+    tuned = TrainingConfig(
+        seed=5, restarts=3, metric="one_minus_loss", max_epochs=800, lr_scale=0.2
+    )
+    assert tuned.digest() == "e2a2b01f50aa"
 
 
 @pytest.mark.parametrize("key", ["lr_scale", "lr_cap", "tol"])
@@ -443,6 +449,18 @@ def test_evaluate_method_alignment_rules():
     assert result.positive.n == 2
     with pytest.raises(DomainError):
         evaluate_method({"a": 0.1}, fake_truth({"a": 0.5}))
+
+
+def test_evaluate_method_rejects_repeated_ids():
+    truth = fake_truth({"a": 0.9, "b": 0.5, "c": 0.2})
+    scores = [
+        ValuationScore.from_terms(cid, v, 0.0, 0.0, 0.0, ValuationWeights())
+        for cid, v in (("a", 0.3), ("b", 0.6), ("a", 0.9), ("c", 0.1))
+    ]
+    with pytest.raises(DomainError, match="'a' repeats in the scores"):
+        evaluate_method(scores, truth)
+    with pytest.raises(DomainError, match="'c' repeats in the ground truth"):
+        evaluate_method({"a": 0.1, "b": 0.2, "c": 0.3}, truth + fake_truth({"c": 0.4}))
 
 
 def test_evaluate_method_random_scores_uncorrelated():

@@ -71,6 +71,9 @@ def test_mixture_combination():
     assert np.allclose(m, 0.25 * p + 0.75 * q, rtol=0, atol=1e-15)
     assert m[0] == pytest.approx(0.40676322237521445, abs=1e-15)
     assert mix.support_max == 100_000
+    assert MixtureSpec.power_law(1.5, 100, 100_000, pi=0.25) == mix
+    # the defaults are the generator's: beta 1.5, cutoff 20, support 200
+    assert MixtureSpec.power_law() == small_mixture()
 
 
 def test_spec_validation():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixval.errors import DomainError, GridError
+from mixval.longtail import MixtureSpec, PowerLawSpec, TruncatedPowerLawSpec
 from mixval.scaling import (
     PhaseCurve,
     ScalingParams,
@@ -33,6 +34,14 @@ def full_params(pi: float, support_max: int = 100_000) -> ScalingParams:
 
 # ---------------------------------------------------------------------------
 # Exact oracle.
+
+
+def test_params_mixture_is_the_full_and_truncated_law():
+    assert full_params(0.25, support_max=5_000).mixture() == MixtureSpec(
+        pi=0.25,
+        real_dist=PowerLawSpec(beta=1.5, support_max=5_000),
+        synth_dist=TruncatedPowerLawSpec(beta=1.5, cutoff=100, support_max=5_000),
+    )
 
 
 def test_params_validation():
@@ -393,6 +402,6 @@ def test_breakpoint_report_to_dict():
     d = report.to_dict()
     assert d["detected_first"] == pytest.approx(1000.0)
     assert d["detected_second"] == pytest.approx(10_000.0)
-    assert set(d) >= {
+    assert set(d) == {
         "predicted_first", "predicted_second", "detected_first", "detected_second",
     }
