@@ -18,7 +18,8 @@ succeeded, so a failed run writes no file.  A manifest with
 input/output digests, the seed, library versions and wall time is
 printed to stdout; wall time never goes into output files, so a rerun
 with the same config and seed is byte identical.  Exit codes: 0
-success, 2 config error, 3 domain error, 4 numerical error.
+success, 2 config error or an output that cannot be written, 3 domain
+error, 4 numerical error.
 MIXVAL_THREADS sets the worker-thread count for per-contributor loops
 (default 1).
 """
@@ -33,7 +34,6 @@ import os
 import platform
 import sys
 import time
-from collections import Counter
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -55,6 +55,7 @@ from .longtail import (
     CSV_HEADER,
     Contributor,
     MixtureSpec,
+    check_unique_ids,
     contributor_files,
     csv_text,
     make_contributors,
@@ -89,7 +90,6 @@ _TABLES = {
     "marginal": ("contributor_id", "value", "stderr"),
     "groundtruth": tuple(f.name for f in fields(GroundTruth)),
 }
-_SCORES_HEADER = _TABLES["scores"]
 
 _EPILOG = "output columns (fixed order):\n" + "".join(
     f"  {name + ' CSV':<17}{','.join(header)}\n" for name, header in _TABLES.items()
@@ -310,9 +310,7 @@ class RunResult:
                 raise ValueError("a row's cells do not match the header")
             records = [dict(zip(header, row)) for row in rows]
             parsed = [parse(record) for record in records]
-            [(cid, count)] = Counter(r["contributor_id"] for r in records).most_common(1)
-            if count > 1:
-                raise ValueError(f"contributor id {cid!r} appears more than once")
+            check_unique_ids((r["contributor_id"] for r in records), "file")
             return parsed
         except (KeyError, ValueError) as exc:
             raise DomainError(f"{what} file {path} is malformed: {exc}") from exc
@@ -496,7 +494,7 @@ def run_value(cfg: dict, run: RunResult) -> None:
     scores, failures = score_all(contributors, test_x, model, vcfg, workers=_workers())
     if not scores:
         raise DomainError(f"every contributor failed to score: {failures}")
-    run.csv("scores.csv", _SCORES_HEADER, map(astuple, scores))
+    run.csv("scores.csv", _TABLES["scores"], map(astuple, scores))
     summary = {
         "n_scored": len(scores),
         "failures": failures,
@@ -505,7 +503,7 @@ def run_value(cfg: dict, run: RunResult) -> None:
     }
     if cfg.get("fit_weights", False):
         fit = fit_score_weights(scores)
-        run.csv("scores_fitted.csv", _SCORES_HEADER, map(astuple, rescore(scores, fit.weights)))
+        run.csv("scores_fitted.csv", _TABLES["scores"], map(astuple, rescore(scores, fit.weights)))
         summary["fitted"] = {
             "weights": fit.weights.as_dict(),
             "residual_norm": fit.residual_norm,
@@ -738,8 +736,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MixvalError as exc:
         print(f"error[domain]: {exc}", file=sys.stderr)
         return 3
-    for path, text in run.outputs.items():
-        write_text(path, text)
+    written = []
+    try:
+        for path, text in run.outputs.items():
+            write_text(path, text)
+            written.append(path)
+    except OSError as exc:
+        for done in written:  # a failed run writes no file
+            os.unlink(done)
+        print(f"error[config]: cannot write {path}: {exc}", file=sys.stderr)
+        return 2
     manifest = {
         "subcommand": args.subcommand,
         "seed": cfg.get("seed"),

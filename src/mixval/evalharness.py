@@ -15,7 +15,6 @@ import hashlib
 import logging
 import math
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, replace
 from typing import Callable, Mapping, Sequence
@@ -24,7 +23,7 @@ import numpy as np
 
 from ._seeds import derive_seed, substream
 from .errors import DegenerateDataError, DomainError
-from .longtail import Contributor, MixtureSpec, make_contributors
+from .longtail import Contributor, MixtureSpec, check_unique_ids, make_contributors
 from .ntk import MLPSpec, Model, ParamVector, _check_batch, backprop, init_params
 from .ntk import layer_outputs, ntk_gram
 from .valuation import ValuationScore, empirical_loss, mixture_loss
@@ -195,12 +194,14 @@ def train_ground_truth(
 
     Each contributor gets its own derived init seed, so results depend
     only on (data, id, spec, config), not on list order or worker
-    count; workers > 1 retrains on a thread pool.  Diverged runs are
-    flagged and later excluded from correlations; their epoch counts
-    cover the restarts up to the one that diverged.
+    count; workers > 1 retrains on a thread pool.  An id that repeats is
+    an error.  Diverged runs are flagged and later excluded from
+    correlations; their epoch counts cover the restarts up to the one
+    that diverged.
     """
     if not contributors:
         raise DomainError("need at least one contributor")
+    check_unique_ids((c.id for c in contributors), "contributors")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     digest = config.digest()
@@ -322,19 +323,13 @@ class MethodEvaluation:
         return self.positive if self.best_orientation == 1 else self.negative
 
 
-def _check_unique(ids, what: str) -> None:
-    repeated = [i for i, count in Counter(ids).items() if count > 1]
-    if repeated:
-        raise DomainError(f"contributor id {repeated[0]!r} repeats in the {what}")
-
-
 def _as_score_map(scores) -> dict[str, float]:
     if isinstance(scores, Mapping):
         return {str(k): float(v) for k, v in scores.items()}
     scores = list(scores)
     if not all(isinstance(s, ValuationScore) for s in scores):
         raise DomainError("scores must be a mapping id -> value or ValuationScore objects")
-    _check_unique((s.contributor_id for s in scores), "scores")
+    check_unique_ids((s.contributor_id for s in scores), "scores")
     return {s.contributor_id: s.total for s in scores}
 
 
@@ -347,7 +342,7 @@ def evaluate_method(
     pairs, or an id that repeats in either input, is an error.
     """
     score_map = _as_score_map(scores)
-    _check_unique((g.contributor_id for g in ground_truth), "ground truth")
+    check_unique_ids((g.contributor_id for g in ground_truth), "ground truth")
     aligned = [
         (score_map[g.contributor_id], g.test_metric)
         for g in ground_truth

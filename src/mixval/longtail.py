@@ -13,6 +13,7 @@ import csv
 import io
 import os
 import uuid
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,6 +225,14 @@ class Contributor:
         return np.concatenate([self.real_y, self.synth_y])
 
 
+def check_unique_ids(ids, what: str) -> None:
+    """Raise :class:`DomainError` naming the first contributor id in ``ids``
+    that repeats; ``what`` names where the ids come from."""
+    repeated = [i for i, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise DomainError(f"contributor id {repeated[0]!r} repeats in the {what}")
+
+
 def pool_contributors(contributors: list[Contributor], id: str = "pool") -> Contributor:
     """Merge several contributors into one (real with real, synth with synth)."""
     if not contributors:
@@ -361,7 +370,8 @@ CSV_HEADER = ("id", "knowledge_index", "is_real", "label")
 
 
 def write_contributors(contributors: list[Contributor], directory: str) -> list[str]:
-    """Write each contributor to ``<directory>/<id>.csv``; returns the paths."""
+    """Write each contributor to ``<directory>/<id>.csv``, ids unique; returns the paths."""
+    check_unique_ids((c.id for c in contributors), "contributors")
     paths = []
     for c in contributors:
         path = os.path.join(directory, f"{c.id}.csv")

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._seeds import substream
 from .errors import DomainError, MixvalError
-from .longtail import Contributor, pool_contributors
+from .longtail import Contributor, check_unique_ids, pool_contributors
 from .mmd import _DEFAULT_SCALES, DistanceBlocks, MultiKernelSpec, mmd, sq_distances
 from .ntk import Model, bound_term, ntk_gram
 
@@ -279,13 +279,12 @@ def score_all(
     on list order or worker count: contributors are independent, so
     workers > 1 fans them out over a thread pool and collects results
     in the input order.  The test set is shared: a malformed one raises
-    here, once, instead of failing every contributor.
+    here, once, instead of failing every contributor, as does an id that
+    repeats.
     """
     if not contributors:
         raise DomainError("need at least one contributor")
-    ids = [c.id for c in contributors]
-    if len(set(ids)) != len(ids):
-        raise DomainError("contributor ids must be unique")
+    check_unique_ids((c.id for c in contributors), "contributors")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     test = _TestSet.of(test_x, config.test_cap)
@@ -542,12 +541,16 @@ def marginal_values(
     model: Model,
     config: ValuationConfig,
 ) -> MarginalReport:
-    """Aggregate coalition marginals of the pooled-score value function."""
+    """Aggregate coalition marginals of the pooled-score value function.
+
+    A contributor id that repeats is a :class:`DomainError`.
+    """
     if not contributors:
         raise DomainError("need at least one contributor")
+    ids = tuple(c.id for c in contributors)
+    check_unique_ids(ids, "contributors")
     n = len(contributors)
     value_fn = coalition_value_fn(contributors, test_x, model, config)
-    ids = tuple(c.id for c in contributors)
     if weighting.kind == "loo":
         return MarginalReport(ids, loo_values(n, value_fn), None, "loo", 0)
     if weighting.mc_permutations == 0:

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import importlib
 import json
 import os
 import subprocess
@@ -380,6 +379,23 @@ def test_failure_leaves_no_partial_files(tmp_path, capsys):
         code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
         assert code == 3, err
         assert not out.exists()
+    # an output that cannot be written exits 2 and removes the outputs
+    # written before it: --out names a regular file ...
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    cfg = write_config(tmp_path, "sim.json", simulate_payload())
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(afile))
+    assert code == 2, err
+    assert "error[config]: cannot write" in err and "afile" in err
+    assert afile.read_text(encoding="utf-8") == "kept\n"
+    # ... or the second of value's files is a directory
+    (out / "value_summary.json").mkdir(parents=True)
+    cfg = write_config(tmp_path, "val.json", value_payload())
+    code, _, err = run_cli(capsys, "value", "--config", str(cfg), "--out", str(out))
+    assert code == 2, err
+    assert "error[config]: cannot write" in err and "value_summary.json" in err
+    assert [p.name for p in out.iterdir()] == ["value_summary.json"]
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +517,7 @@ def test_value_pipeline_outputs(tmp_path, capsys):
     assert code == 0
     with open(out / "scores.csv", newline="") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == list(cli._SCORES_HEADER)
+    assert rows[0] == list(cli._TABLES["scores"])
     assert len(rows) == 4  # header + three contributors
     assert rows[1][0] == "c000"
     summary = json.loads((out / "value_summary.json").read_text())
@@ -565,6 +581,35 @@ def test_value_reads_contributor_directory(tmp_path, capsys):
     assert "error[domain]" in err and "c001.csv" in err
 
 
+def write_repeated_id_directory(tmp_path: Path) -> Path:
+    """c000.csv, same0.csv and same1.csv; the last two hold contributor 'same'."""
+    first, *others = make_contributors(
+        [(6, 4), (5, 5), (8, 2)], small_mixture(), feature_dim=4, seed=21
+    )
+    data_dir = tmp_path / "data"
+    write_contributors([first], str(data_dir))
+    for j, c in enumerate(others):
+        [path] = write_contributors([dataclasses.replace(c, id="same")], str(tmp_path))
+        os.replace(path, data_dir / f"same{j}.csv")
+    return data_dir
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("value", ()), ("marginal", ()), ("marginal", ("--weighting", "loo")),
+     ("groundtruth", ())],
+)
+def test_repeated_contributor_id_exits_3(tmp_path, capsys, command, flags):
+    payload = groundtruth_payload() if command == "groundtruth" else value_payload()
+    payload["contributors"] = str(write_repeated_id_directory(tmp_path))
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out), *flags)
+    assert code == 3, err
+    assert "error[domain]: contributor id 'same' repeats" in err
+    assert not out.exists()
+
+
 def test_marginal_exact_and_sampled(tmp_path, capsys):
     payload = value_payload()
     cfg = write_config(tmp_path, "marg.json", payload)
@@ -608,10 +653,9 @@ def test_marginal_exact_and_sampled(tmp_path, capsys):
 
 def test_discrepancy_on_plain_csv(tmp_path, capsys, monkeypatch):
     # the median and the MMD share one set of distance blocks
-    mmd_module = importlib.import_module("mixval.mmd")
-    blocks, cdist = [], mmd_module.cdist
+    blocks, cdist = [], mixval.mmd.cdist
     monkeypatch.setattr(
-        mmd_module, "cdist",
+        mixval.mmd, "cdist",
         lambda a, b, metric: blocks.append((len(a), len(b))) or cdist(a, b, metric=metric),
     )
     rng = np.random.default_rng(2)
@@ -806,7 +850,7 @@ def test_ids_with_commas_and_quotes_round_trip(tmp_path, capsys):
     with open(tmp_path / "scores.csv", newline="") as handle:
         rows = list(csv.reader(handle))
     assert [r[0] for r in rows[1:]] == sorted(ids)  # files are read in name order
-    assert all(len(r) == len(cli._SCORES_HEADER) for r in rows)
+    assert all(len(r) == len(cli._TABLES["scores"]) for r in rows)
     ev = {"scores": str(tmp_path / "scores.csv"), "groundtruth": str(tmp_path / "groundtruth.csv")}
     cfg = write_config(tmp_path, "ev.json", ev)
     code, _, err = run_cli(capsys, "evaluate", "--config", str(cfg), "--out", str(tmp_path))

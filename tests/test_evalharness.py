@@ -264,6 +264,17 @@ def test_train_ground_truth_duplicates_agree():
     assert abs(results[0].test_metric - results[1].test_metric) < 0.02
 
 
+def test_train_ground_truth_rejects_repeated_ids():
+    contributors = make_contributors([(6, 2), (5, 3)], small_mixture(), feature_dim=4, seed=6)
+    repeated = [*contributors, replace(contributors[0], id="c001")]
+    [t] = make_contributors([(10, 0)], small_mixture(), feature_dim=4, seed=66)
+    with pytest.raises(DomainError, match="'c001' repeats in the contributors"):
+        train_ground_truth(
+            repeated, MLPSpec(layer_widths=(4, 4, 1)), TrainingConfig(max_epochs=5),
+            t.real_x, t.real_y,
+        )
+
+
 def test_train_ground_truth_worker_invariance():
     contributors = make_contributors(
         [(12, 6), (10, 8)], small_mixture(), feature_dim=4, seed=6

@@ -247,6 +247,13 @@ def test_write_read_roundtrip(tmp_path, contributors_small):
         assert np.array_equal(a.synth_y, b.synth_y)
 
 
+def test_write_contributors_rejects_repeated_ids(tmp_path, contributors_small):
+    # both would be written to c000.csv, the second over the first
+    with pytest.raises(DomainError, match="'c000' repeats in the contributors"):
+        write_contributors([contributors_small[0], contributors_small[0]], str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
 def test_read_contributors_empty_dir(tmp_path):
     with pytest.raises(DomainError):
         read_contributors(str(tmp_path))

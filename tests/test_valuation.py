@@ -168,7 +168,7 @@ def test_score_all_validation(contributors_small, test_x_small, model_small):
     config = ValuationConfig()
     with pytest.raises(DomainError):
         score_all([], test_x_small, model_small, config)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="'c000' repeats in the contributors"):
         score_all(
             [contributors_small[0], contributors_small[0]], test_x_small, model_small, config
         )
@@ -434,6 +434,16 @@ def test_marginal_values_sampled_reports_stderr(
     assert report.permutations == 12
     assert report.stderr is not None and np.all(report.stderr >= 0)
     assert "stderr" in report.to_rows()[0]
+
+
+def test_marginal_values_rejects_repeated_ids(contributors_small, test_x_small, model_small):
+    repeated = [contributors_small[0], contributors_small[1], contributors_small[1]]
+    for kind in ("shapley", "loo"):
+        with pytest.raises(DomainError, match="'c001' repeats in the contributors"):
+            marginal_values(
+                repeated, CoalitionWeighting(kind=kind), test_x_small, model_small,
+                ValuationConfig(),
+            )
 
 
 def test_coalition_weighting_validation():
