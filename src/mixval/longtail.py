@@ -125,7 +125,14 @@ def pmf(dist: Distribution, i: int) -> float:
 
 
 def sample_knowledge(dist: Distribution, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` knowledge indices (1-based) by inverse-CDF lookup."""
+    """Draw ``n`` knowledge indices (1-based) by inverse-CDF lookup.
+
+    Public as the one sampler of raw indices from any ``Distribution``
+    (power law, truncated law or mixture) without features or labels,
+    for studying a knowledge distribution apart from contributor data;
+    :func:`make_contributors` draws through the same lookup from its
+    own substreams.
+    """
     if n < 0:
         raise DomainError(f"sample count must be >= 0, got {n}")
     rng = substream(seed, _SAMPLE_STREAM)
@@ -246,15 +253,6 @@ def pool_contributors(contributors: list[Contributor], id: str = "pool") -> Cont
         synth_y=np.concatenate([c.synth_y for c in contributors]),
         synth_idx=np.concatenate([c.synth_idx for c in contributors]),
     )
-
-
-def plan_pi(plan: list[tuple[int, int]]) -> float:
-    """Overall real proportion of a contributor plan [(n_real, n_synth), ...]."""
-    total_real = sum(r for r, _ in plan)
-    total = sum(r + s for r, s in plan)
-    if total < 1:
-        raise DomainError("plan has no samples")
-    return total_real / total
 
 
 def make_contributors(
@@ -417,7 +415,11 @@ def contributor_files(directory: str | os.PathLike) -> list[Path]:
 
 
 def read_contributors(directory: str | os.PathLike) -> list[Contributor]:
-    """Load every ``*.csv`` in a directory written by :func:`write_contributors`."""
+    """Load every ``*.csv`` in a directory written by :func:`write_contributors`.
+
+    Each file holds one contributor: rows naming two ids raise
+    :class:`DomainError` naming the file and the ids.
+    """
     paths = contributor_files(directory)
     if not paths:
         raise DomainError(f"no contributor CSV files in {str(directory)!r}")
@@ -426,6 +428,12 @@ def read_contributors(directory: str | os.PathLike) -> list[Contributor]:
         header, rows = read_csv(path, "contributor")
         if tuple(header[: len(CSV_HEADER)]) != CSV_HEADER:
             raise DomainError(f"{path}: unexpected contributor CSV header")
+        ids = list(dict.fromkeys(r[0] for r in rows))
+        if len(ids) > 1:
+            raise DomainError(
+                f"{path}: a contributor file holds one contributor, its rows name "
+                + ", ".join(map(repr, ids))
+            )
         idx, is_real, y, x = parse_contributor_rows(rows, str(path))
         out.append(
             Contributor(

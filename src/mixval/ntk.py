@@ -227,11 +227,6 @@ def gradients(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def per_example_gradient(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the scalar output for one input vector."""
-    return gradients(spec, params, x)[0]
-
-
 @dataclass(frozen=True)
 class NTKGram:
     """Empirical tangent-kernel Gram matrix with the gradient-norm bound B.

@@ -610,6 +610,25 @@ def test_repeated_contributor_id_exits_3(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
+def test_contributor_file_with_two_ids_exits_3(tmp_path, capsys):
+    contributors = make_contributors(
+        [(6, 4), (5, 5)], small_mixture(), feature_dim=4, seed=21
+    )
+    data_dir = tmp_path / "data"
+    write_contributors(contributors, str(data_dir))
+    bad = data_dir / "c001.csv"
+    text = bad.read_text(encoding="utf-8")
+    bad.write_text(text.replace("\nc001,", "\nb,", 1), encoding="utf-8")
+    payload = value_payload()
+    payload["contributors"] = str(data_dir)
+    cfg = write_config(tmp_path, "val.json", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "value", "--config", str(cfg), "--out", str(out))
+    assert code == 3, err
+    assert "error[domain]" in err and "c001.csv" in err and "'b', 'c001'" in err
+    assert not out.exists()
+
+
 def test_marginal_exact_and_sampled(tmp_path, capsys):
     payload = value_payload()
     cfg = write_config(tmp_path, "marg.json", payload)

@@ -1,6 +1,7 @@
 """Long-tail knowledge distributions and contributor synthesis."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from mixval.longtail import (
     knowledge_labels,
     knowledge_prototype,
     make_contributors,
-    plan_pi,
     pmf,
     pool_contributors,
     read_contributors,
@@ -28,6 +28,11 @@ from mixval.longtail import (
 )
 
 from conftest import small_mixture
+
+
+def plan_pi(plan: list[tuple[int, int]]) -> float:
+    """Overall real proportion of a contributor plan [(n_real, n_synth), ...]."""
+    return sum(r for r, _ in plan) / sum(r + s for r, s in plan)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +189,7 @@ def test_make_contributors_shapes_and_pi():
         assert c.real_x.shape == (nr, 6)
         assert c.synth_x.shape == (ns, 6)
     assert plan_pi(plan) == pytest.approx(14 / 26)
+    assert pool_contributors(contributors).pi == plan_pi(plan)
 
 
 def test_make_contributors_deterministic():
@@ -256,6 +262,17 @@ def test_write_contributors_rejects_repeated_ids(tmp_path, contributors_small):
 
 def test_read_contributors_empty_dir(tmp_path):
     with pytest.raises(DomainError):
+        read_contributors(str(tmp_path))
+
+
+def test_read_contributors_rejects_two_ids_in_one_file(tmp_path, contributors_small):
+    [path] = write_contributors(contributors_small[:1], str(tmp_path))
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("c000,") and lines[2].startswith("c000,")
+    lines[2] = "other" + lines[2][len("c000"):]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DomainError, match=r"c000\.csv: .*'c000', 'other'"):
         read_contributors(str(tmp_path))
 
 

@@ -1,6 +1,7 @@
 """Multi-kernel maximum mean discrepancy estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from mixval.mmd import (
     KernelSpec,
     MultiKernelSpec,
     _pairs_into,
-    gaussian_kernel,
     median_heuristic,
     mmd,
     sq_distances,
@@ -26,20 +26,48 @@ def single_kernel(bandwidth: float = 1.0) -> MultiKernelSpec:
     return MultiKernelSpec.from_bandwidths([bandwidth])
 
 
+def gaussian_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Gram matrix of one Gaussian kernel between the rows of x and y:
+    one divide and one exp over the whole squared-distance block."""
+    d = sq_distances(np.atleast_2d(x), np.atleast_2d(y))
+    return np.exp(np.divide(d, -(2.0 * spec.bandwidth**2)))
+
+
+def reference_mmd_squared(
+    x: np.ndarray, y: np.ndarray, spec: MultiKernelSpec, estimator: str
+) -> float:
+    """Squared multi-kernel MMD with a separate full-block exp per kernel,
+    each total the fsum of the block's row sums (minus the fsum of its
+    diagonal for the unbiased form)."""
+
+    def total(k: np.ndarray, offdiag: bool) -> float:
+        t = math.fsum(np.add.reduce(k, axis=1).tolist())
+        return t - math.fsum(np.diag(k).tolist()) if offdiag else t
+
+    offdiag = estimator == "unbiased"
+    nx, ny = len(x), len(y)
+    mx, my = (nx * (nx - 1), ny * (ny - 1)) if offdiag else (nx * nx, ny * ny)
+    per_kernel = []
+    for kern in spec.kernels:
+        kxx, kyy, kxy = (gaussian_kernel(a, b, kern) for a, b in ((x, x), (y, y), (x, y)))
+        per_kernel.append(
+            total(kxx, offdiag) / mx + total(kyy, offdiag) / my
+            - 2.0 * (total(kxy, False) / (nx * ny))
+        )
+    return math.fsum(w * sq for w, sq in zip(spec.weights, per_kernel))
+
+
 # ---------------------------------------------------------------------------
 # Kernel and bank construction.
 
 
 def test_gaussian_kernel_hand_values():
     spec = KernelSpec(bandwidth=1.0)
-    assert gaussian_kernel([0.0], [0.0], spec) == 1.0
-    assert gaussian_kernel([0.0], [1.0], spec) == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert gaussian_kernel([0.0], [0.0], spec)[0, 0] == 1.0
+    assert gaussian_kernel([0.0], [1.0], spec)[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-15)
     wide = KernelSpec(bandwidth=2.0)
-    assert gaussian_kernel([0.0, 0.0], [3.0, 4.0], wide) == pytest.approx(
-        math.exp(-25.0 / 8.0), rel=1e-15
-    )
-    with pytest.raises(DomainError):
-        gaussian_kernel([0.0], [0.0, 1.0], spec)
+    got = gaussian_kernel([[0.0, 0.0], [3.0, 4.0]], [[3.0, 4.0]], wide)
+    assert got[:, 0] == pytest.approx([math.exp(-25.0 / 8.0), 1.0], rel=1e-15)
 
 
 def test_kernel_spec_validation():
@@ -280,3 +308,89 @@ def test_scale_equivariance_property(seed, scale):
 def test_discrepancy_estimate_fields():
     est = DiscrepancyEstimate(value=0.5, squared=0.25, estimator="biased")
     assert est.value == 0.5 and est.squared == 0.25
+
+
+# ---------------------------------------------------------------------------
+# Kernel bank evaluation: row blocks and the squaring ladder.
+
+
+def _pair(nx: int, ny: int, dim: int, shift: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((nx, dim)), rng.standard_normal((ny, dim)) + shift
+
+
+# (nx, ny) spanning one row block, and several for xx, yy or xy
+_SHAPES = [(7, 5), (120, 90), (600, 90), (40, 2000)]
+
+
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+@pytest.mark.parametrize("nx,ny", _SHAPES)
+def test_bank_without_power_of_two_ratio_is_bit_identical(nx, ny, estimator):
+    x, y = _pair(nx, ny, 3, 0.4, nx + ny)
+    bank = MultiKernelSpec.from_bandwidths([1.0, 3.0, 7.0], (0.5, 0.3, 0.2))
+    assert mmd(x, y, bank, estimator).squared == reference_mmd_squared(x, y, bank, estimator)
+
+
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+@pytest.mark.parametrize("nx,ny", _SHAPES)
+def test_default_bank_squaring_within_tolerance(nx, ny, estimator):
+    for shift in (0.0, 0.5):
+        x, y = _pair(nx, ny, 4, shift, nx * ny)
+        bank = MultiKernelSpec.median_bank(x, y)
+        got = mmd(x, y, bank, estimator).squared
+        assert abs(got - reference_mmd_squared(x, y, bank, estimator)) <= 1e-14
+
+
+def test_squarings_since_last_exp_are_capped():
+    # 2 bw^2 ratio 2^16: sixteen squarings would amplify the rounding of
+    # the wide kernel's values 2^16-fold, so the narrow one takes its own exp
+    x, y = _pair(60, 50, 3, 0.1, 4)
+    bank = MultiKernelSpec.from_bandwidths([1.0, 256.0])
+    for estimator in ("biased", "unbiased"):
+        assert mmd(x, y, bank, estimator).squared == reference_mmd_squared(x, y, bank, estimator)
+
+
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+def test_default_scales_far_apart_underflow_to_zero(estimator):
+    # bandwidths 0.25 ... 4 against a shift of 100: the narrow kernels'
+    # cross values underflow to 0 through the squarings, never to NaN
+    x, y = _pair(600, 90, 2, 100.0, 1)
+    bank = MultiKernelSpec.from_bandwidths([0.25, 0.5, 1.0, 2.0, 4.0])
+    got = mmd(x, y, bank, estimator).squared
+    assert math.isfinite(got)
+    assert abs(got - reference_mmd_squared(x, y, bank, estimator)) <= 1e-14
+
+
+def test_block_size_does_not_change_bits(monkeypatch):
+    cases = [_pair(nx, ny, 3, 0.3, nx) for nx, ny in _SHAPES]
+    banks = [
+        lambda x, y: MultiKernelSpec.median_bank(x, y),
+        lambda x, y: MultiKernelSpec.from_bandwidths([1.0, 3.0, 7.0]),
+    ]
+
+    def run():
+        return [
+            mmd(x, y, bank(x, y), estimator).squared
+            for x, y in cases
+            for bank in banks
+            for estimator in ("biased", "unbiased")
+        ]
+
+    default = run()
+    monkeypatch.setattr("mixval.mmd._BLOCK_ENTRIES", 64)
+    assert run() == default
+
+
+def test_mmd_with_blocks_allocates_little():
+    # the bank is evaluated in row blocks, so no full-size kernel block
+    # is allocated: a 200 x 1500 pair's yy block alone is 17 MiB
+    x, y = _pair(200, 1500, 8, 0.2, 5)
+    blocks = DistanceBlocks.of(x, y)
+    bank = MultiKernelSpec.median_bank(x, y, blocks=blocks)
+    tracemalloc.start()
+    try:
+        mmd(x, y, bank, "unbiased", blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -18,9 +18,14 @@ from mixval.ntk import (
     gradients,
     init_params,
     ntk_gram,
-    per_example_gradient,
     predict,
 )
+
+
+def per_example_gradient(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
+    """Gradient of the scalar output for one input vector: the one row of
+    a one-point ``gradients`` batch."""
+    return gradients(spec, params, x)[0]
 
 
 def finite_difference_gradient(spec, params, x, h: float = 1e-6) -> np.ndarray:
