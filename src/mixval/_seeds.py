@@ -38,3 +38,15 @@ def derive_seed(seed: int, *path: int | str) -> int:
     key = tuple(_as_key(p) for p in path)
     state = np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
+
+
+def cap_rows(n: int, cap: int | None, seed: int, *path: int | str) -> np.ndarray | slice:
+    """Rows kept when at most ``cap`` of ``n`` may be used.
+
+    The sorted indices of one size-``cap`` draw without replacement from
+    ``substream(seed, *path)``; every row (``slice(None)``) when no cap
+    fires, and then no substream is derived.
+    """
+    if cap is None or n <= cap:
+        return slice(None)
+    return np.sort(substream(seed, *path).choice(n, size=cap, replace=False))

@@ -21,10 +21,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._seeds import derive_seed, substream
+from ._seeds import cap_rows, derive_seed, substream
 from .errors import DegenerateDataError, DomainError
 from .longtail import Contributor, MixtureSpec, check_unique_ids, make_contributors
-from .ntk import MLPSpec, Model, ParamVector, _check_batch, backprop, init_params
+from .ntk import MLPSpec, Model, _check_batch, backprop, init_params
 from .ntk import layer_outputs, ntk_gram
 from .valuation import ValuationScore, empirical_loss, mixture_loss
 
@@ -113,14 +113,10 @@ class TrainResult:
 
 
 def _learning_rate(
-    spec: MLPSpec, params: ParamVector, x: np.ndarray, config: TrainingConfig
+    spec: MLPSpec, params: np.ndarray, x: np.ndarray, config: TrainingConfig
 ) -> float:
     n = len(x)
-    if n <= config.eigen_cap:
-        sub = x
-    else:
-        rng = substream(config.seed, "lr-probe")
-        sub = x[np.sort(rng.choice(n, size=config.eigen_cap, replace=False))]
+    sub = x[cap_rows(n, config.eigen_cap, config.seed, "lr-probe")]
     gram = ntk_gram(spec, params, sub)
     # lambda_max grows about linearly with sample count
     lam = float(np.linalg.eigvalsh(gram.matrix)[-1]) * (n / len(sub))
@@ -145,7 +141,7 @@ def train_model(
         raise DomainError("training needs matching nonempty inputs and labels")
     params = init_params(spec)
     lr = _learning_rate(spec, params, x, config)
-    layers = params.layers()
+    layers = spec.layers(params)
     model = Model(spec, params)
     n = len(y)
     prev = math.inf

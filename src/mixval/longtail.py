@@ -368,8 +368,16 @@ CSV_HEADER = ("id", "knowledge_index", "is_real", "label")
 
 
 def write_contributors(contributors: list[Contributor], directory: str) -> list[str]:
-    """Write each contributor to ``<directory>/<id>.csv``, ids unique; returns the paths."""
+    """Write each contributor to ``<directory>/<id>.csv``, ids unique; returns the paths.
+
+    An id holding a path separator would put its file elsewhere: it is a
+    :class:`DomainError`, raised before any file is written.
+    """
     check_unique_ids((c.id for c in contributors), "contributors")
+    seps = {"/", os.sep, os.altsep} - {None}
+    for c in contributors:
+        if any(sep in c.id for sep in seps):
+            raise DomainError(f"contributor id {c.id!r} holds a path separator")
     paths = []
     for c in contributors:
         path = os.path.join(directory, f"{c.id}.csv")

@@ -2,7 +2,9 @@
 
 A small MLP with smooth activations produces a scalar in [0, 1] (via a
 sigmoid squash on the final layer, so the boundedness assumptions of
-the generalization bound hold by construction).  One reverse pass,
+the generalization bound hold by construction).  Its parameters are
+one flat float array; ``MLPSpec.layers`` alone declares how it splits
+into each layer's weights and bias.  One reverse pass,
 ``backprop``, serves both per-example parameter gradients (each
 example's output weighted by 1) and the full-batch training step of
 ``evalharness.train_model`` (outputs weighted by their residuals).  It
@@ -87,59 +89,39 @@ class MLPSpec:
     def n_params(self) -> int:
         return sum(o * i + o for o, i in self.weight_shapes())
 
+    def layers(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weights, bias) views per layer into the last axis of ``flat``.
 
-@dataclass(frozen=True)
-class ParamVector:
-    """Flat parameter sequence with its layer-shape manifest.
-
-    Layout per layer: weight matrix (row major), then bias vector.
-    """
-
-    values: np.ndarray
-    weight_shapes: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        expected = sum(o * i + o for o, i in self.weight_shapes)
-        if self.values.ndim != 1 or len(self.values) != expected:
-            raise DomainError(
-                f"parameter vector has {self.values.shape}, manifest needs {expected}"
-            )
-
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Unflatten into (weights, bias) per layer.
-
-        Views: writing through them writes ``values``.  Only the owner of
-        the vector may write, as ``evalharness.train_model`` does with the
-        fresh parameters it trains; everyone else only reads.
+        The one declaration of the parameter layout: per layer, the
+        weight matrix row major, then the bias vector.  ``flat`` is a
+        parameter vector or a matrix with one such row per example, as
+        ``gradients`` returns.  Writing through the views writes
+        ``flat``: only its owner may, as ``evalharness.train_model``
+        does with the fresh parameters it trains.
         """
-        return _layer_views(self.values, self.weight_shapes)
+        if flat.shape[-1:] != (self.n_params,):
+            raise DomainError(
+                f"parameter array has shape {flat.shape}, "
+                f"layers {self.layer_widths} need {self.n_params} per row"
+            )
+        lead = flat.shape[:-1]
+        out = []
+        pos = 0
+        for o, i in self.weight_shapes():
+            w = flat[..., pos : pos + o * i].reshape(*lead, o, i)
+            pos += o * i
+            out.append((w, flat[..., pos : pos + o]))
+            pos += o
+        return out
 
 
-def _layer_views(flat: np.ndarray, weight_shapes) -> list[tuple[np.ndarray, np.ndarray]]:
-    # (weights, bias) views per layer into the last axis of flat, which
-    # holds the ParamVector layout: a vector, or one row per example
-    lead = flat.shape[:-1]
-    out = []
-    pos = 0
-    for o, i in weight_shapes:
-        w = flat[..., pos : pos + o * i].reshape(*lead, o, i)
-        pos += o * i
-        b = flat[..., pos : pos + o]
-        pos += o
-        out.append((w, b))
-    return out
-
-
-def init_params(spec: MLPSpec) -> ParamVector:
+def init_params(spec: MLPSpec) -> np.ndarray:
     """Draw weights i.i.d. zero mean with variance 1/fan-in; biases zero."""
     rng = substream(spec.init_seed, _INIT_STREAM)
-    parts = []
-    for o, i in spec.weight_shapes():
-        parts.append(rng.standard_normal(o * i) / math.sqrt(i))
-        parts.append(np.zeros(o))
-    return ParamVector(
-        values=np.concatenate(parts), weight_shapes=tuple(spec.weight_shapes())
-    )
+    params = np.zeros(spec.n_params)
+    for w, _ in spec.layers(params):
+        w[...] = rng.standard_normal(w.shape) / math.sqrt(w.shape[1])
+    return params
 
 
 def _check_batch(spec: MLPSpec, x: np.ndarray) -> np.ndarray:
@@ -158,7 +140,7 @@ def layer_outputs(
 ) -> list[np.ndarray]:
     """Forward pass over a checked batch: [x, h_1, ..., squashed output].
 
-    ``layers`` is ``ParamVector.layers()``; the last entry has shape
+    ``layers`` is ``spec.layers(params)``; the last entry has shape
     (n, 1).  ``backprop`` takes its derivatives from these outputs.
     """
     act, _ = _ACTIVATIONS[spec.activation]
@@ -197,29 +179,24 @@ def backprop(
         delta = below
 
 
-def predict(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
+def predict(spec: MLPSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Model outputs for a batch (or single vector) of inputs."""
     xb = _check_batch(spec, x)
-    return layer_outputs(spec, params.layers(), xb)[-1][:, 0]
+    return layer_outputs(spec, spec.layers(params), xb)[-1][:, 0]
 
 
-def forward(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> float:
-    """Scalar model output for one input vector."""
-    return float(predict(spec, params, x)[0])
-
-
-def gradients(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
+def gradients(spec: MLPSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-example gradients of the output w.r.t. all parameters.
 
-    Returns an (n, n_params) matrix in the ParamVector layout: one
-    ``backprop`` over the batch writes each layer's weight and bias
+    Returns an (n, n_params) matrix, each row in the parameter layout:
+    one ``backprop`` over the batch writes each layer's weight and bias
     blocks into it in place.
     """
     xb = _check_batch(spec, x)
-    layers = params.layers()
+    layers = spec.layers(params)
     outputs = layer_outputs(spec, layers, xb)
-    g = np.empty((len(xb), len(params.values)))
-    blocks = _layer_views(g, params.weight_shapes)
+    g = np.empty((len(xb), spec.n_params))
+    blocks = spec.layers(g)
     for li, delta, h_in in backprop(spec, layers, outputs, np.ones((len(xb), 1))):
         gw, gb = blocks[li]
         np.multiply(delta[:, :, None], h_in[:, None, :], out=gw)
@@ -261,7 +238,7 @@ class NTKGram:
         return float(np.trace(self.matrix))
 
 
-def ntk_gram(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> NTKGram:
+def ntk_gram(spec: MLPSpec, params: np.ndarray, x: np.ndarray) -> NTKGram:
     """Gram[i][j] = <grad f(x_i), grad f(x_j)> at the given parameters."""
     g = gradients(spec, params, x)
     if len(g) == 0:
@@ -318,10 +295,10 @@ def bound_term(
 
 @dataclass(frozen=True)
 class Model:
-    """A spec bound to concrete parameters."""
+    """A spec bound to its flat parameter array."""
 
     spec: MLPSpec
-    params: ParamVector
+    params: np.ndarray
 
     @classmethod
     def at_init(cls, spec: MLPSpec) -> "Model":

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._seeds import substream
+from ._seeds import cap_rows, substream
 from .errors import DomainError, MixvalError
 from .longtail import Contributor, check_unique_ids, pool_contributors
 from .mmd import _DEFAULT_SCALES, DistanceBlocks, MultiKernelSpec, mmd, sq_distances
@@ -173,14 +173,6 @@ def mixture_loss(model: Model, contributor: Contributor) -> float:
     )
 
 
-def _cap_rows(n: int, cap: int | None, seed: int, *path: str) -> np.ndarray | slice:
-    # sorted rows of one size-cap draw from substream (seed, *path); every
-    # row when no cap fires, and then no substream is derived
-    if cap is None or n <= cap:
-        return slice(None)
-    return np.sort(substream(seed, *path).choice(n, size=cap, replace=False))
-
-
 @dataclass(frozen=True)
 class _TestSet:
     """A validated test sample with its squared-distance block.
@@ -209,10 +201,10 @@ def _part_discrepancy(
     # MMD of one capped part to the test set; its distance blocks are
     # built once, serve the median and the kernels, and die on return,
     # before the next part's
-    part_x = x[_cap_rows(len(x), config.mmd_cap, config.seed, "value", cid, "mmd-cap", tag)]
+    part_x = x[cap_rows(len(x), config.mmd_cap, config.seed, "value", cid, "mmd-cap", tag)]
     # the rows are all of them exactly when test.d2 is held
     t_x = test.x[
-        _cap_rows(len(test.x), config.test_cap, config.seed, "value", cid, "test-cap", tag)
+        cap_rows(len(test.x), config.test_cap, config.seed, "value", cid, "test-cap", tag)
     ]
     blocks = DistanceBlocks.of(t_x, part_x, test.d2)
     bank = MultiKernelSpec.median_bank(t_x, part_x, config.kernel_scales, blocks)
@@ -245,7 +237,7 @@ def score(
         )
 
         pooled_x, pooled_y = contributor.pooled_x(), contributor.pooled_y()
-        keep = _cap_rows(len(pooled_y), config.ntk_cap, config.seed, "value", cid, "ntk-cap")
+        keep = cap_rows(len(pooled_y), config.ntk_cap, config.seed, "value", cid, "ntk-cap")
         sub_x, sub_y = pooled_x[keep], pooled_y[keep]
         gram = ntk_gram(model.spec, model.params, sub_x)
         residuals = sub_y - model.predict(sub_x)
@@ -404,7 +396,7 @@ class CoalitionWeighting:
 
     kind 'shapley' with mc_permutations=0 enumerates exactly (K <= 12);
     a positive permutation budget switches to unbiased sampling.  kind
-    'loo' needs no budget.
+    'loo' takes no budget: a positive one is an error, not dropped.
     """
 
     kind: str
@@ -415,6 +407,10 @@ class CoalitionWeighting:
             raise DomainError(f"kind must be 'shapley' or 'loo', got {self.kind!r}")
         if self.mc_permutations < 0:
             raise DomainError("mc_permutations must be >= 0")
+        if self.kind == "loo" and self.mc_permutations:
+            raise DomainError(
+                f"kind 'loo' takes no permutation budget, got {self.mc_permutations}"
+            )
 
 
 ValueFn = Callable[[frozenset[int]], float]

@@ -10,7 +10,12 @@ from mixval.longtail import (
     TruncatedPowerLawSpec,
     make_contributors,
 )
-from mixval.ntk import MLPSpec, Model
+from mixval.ntk import MLPSpec, Model, predict
+
+
+def forward(spec: MLPSpec, params: np.ndarray, x: np.ndarray) -> float:
+    """Scalar model output for one input vector."""
+    return float(predict(spec, params, x)[0])
 
 
 def small_mixture(pi: float = 0.5) -> MixtureSpec:

@@ -31,7 +31,7 @@ from mixval.evalharness import (
 )
 from mixval.longtail import make_contributors, write_contributors
 from mixval.mmd import KernelSpec, MultiKernelSpec, mmd
-from mixval.ntk import MLPSpec, Model, ParamVector, forward, gradients, init_params, ntk_gram
+from mixval.ntk import MLPSpec, Model, gradients, init_params, ntk_gram
 from mixval.scaling import (
     ScalingParams,
     detect_breakpoints,
@@ -51,7 +51,7 @@ from mixval.valuation import (
     score_all,
 )
 
-from conftest import small_mixture
+from conftest import forward, small_mixture
 
 PIS = (0.1, 0.25, 0.5)
 
@@ -308,15 +308,12 @@ def test_criterion_04_ntk_correctness():
         x = rng.standard_normal(spec.input_dim)
         x = x / np.linalg.norm(x)
         analytic = gradients(spec, params, x[None, :])[0]
-        fd = np.zeros_like(params.values)
+        fd = np.zeros_like(params)
         for j in range(len(fd)):
-            up, down = params.values.copy(), params.values.copy()
+            up, down = params.copy(), params.copy()
             up[j] += h
             down[j] -= h
-            fd[j] = (
-                forward(spec, ParamVector(up, params.weight_shapes), x)
-                - forward(spec, ParamVector(down, params.weight_shapes), x)
-            ) / (2 * h)
+            fd[j] = (forward(spec, up, x) - forward(spec, down, x)) / (2 * h)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)
 

@@ -666,6 +666,19 @@ def test_marginal_exact_and_sampled(tmp_path, capsys):
     assert loo_summary["kind"] == "loo"
 
 
+def test_marginal_loo_with_permutations_exits_3(tmp_path, capsys):
+    # leave-one-out takes no permutation budget: refused, not dropped
+    cfg = write_config(tmp_path, "marg.json", value_payload())
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "marginal", "--config", str(cfg), "--out", str(out),
+        "--weighting", "loo", "--permutations", "5",
+    )
+    assert code == 3, err
+    assert "error[domain]" in err and "permutation budget" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # discrepancy / gram.
 

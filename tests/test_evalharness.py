@@ -28,7 +28,6 @@ from mixval.longtail import make_contributors
 from mixval.ntk import (
     MLPSpec,
     Model,
-    ParamVector,
     backprop,
     gradients,
     init_params,
@@ -43,7 +42,7 @@ from conftest import small_mixture
 def constant_model(value: float) -> Model:
     # one-input linear net pinned to a constant output
     spec = MLPSpec(layer_widths=(1, 1), output_squash="identity")
-    return Model(spec, ParamVector(np.array([0.0, value]), ((1, 1),)))
+    return Model(spec, np.array([0.0, value]))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ def test_train_model_deterministic():
     spec = MLPSpec(layer_widths=(2, 8, 1), init_seed=9)
     a = train_model(x, y, spec, TrainingConfig())
     b = train_model(x, y, spec, TrainingConfig())
-    assert np.array_equal(a.model.params.values, b.model.params.values)
+    assert np.array_equal(a.model.params, b.model.params)
     assert a.epochs == b.epochs and a.final_loss == b.final_loss
 
 
@@ -144,17 +143,15 @@ def reference_training(x, y, spec, config):
     predict and a per-example gradients pass every epoch, stepping a fresh
     copy of the whole parameter vector.  Returns (epochs, loss, converged,
     parameter values)."""
-    params = init_params(spec)
-    values = params.values.copy()
-    lr = _learning_rate(spec, params, x, config)
+    values = init_params(spec)
+    lr = _learning_rate(spec, values, x, config)
     prev = loss = math.inf
     for epochs in range(1, config.max_epochs + 1):
-        pv = ParamVector(values, params.weight_shapes)
-        resid = predict(spec, pv, x) - y
+        resid = predict(spec, values, x) - y
         loss = float(np.mean(resid**2) / 2.0)
         if abs(prev - loss) < config.tol:
             return epochs, loss, True, values
-        values = values - lr * (gradients(spec, pv, x).T @ resid) / len(y)
+        values = values - lr * (gradients(spec, values, x).T @ resid) / len(y)
         prev = loss
     return epochs, loss, False, values
 
@@ -176,11 +173,11 @@ def test_one_fused_step_equals_gradient_matrix_step(widths, activation, squash):
     p0 = init_params(spec)
     lr = _learning_rate(spec, p0, x, config)
     resid = predict(spec, p0, x) - y
-    want = p0.values - lr * (gradients(spec, p0, x).T @ resid) / len(y)
-    got = result.model.params.values
+    want = p0 - lr * (gradients(spec, p0, x).T @ resid) / len(y)
+    got = result.model.params
     assert result.epochs == 1 and not result.converged and result.lr == lr
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert not np.array_equal(got, p0.values)
+    assert not np.array_equal(got, p0)
 
 
 @pytest.mark.parametrize(
@@ -200,7 +197,7 @@ def test_train_model_matches_reference_loop(widths, activation, squash, max_epoc
     assert ref_converged is converged
     assert (result.epochs, result.converged, result.diverged) == (epochs, converged, False)
     assert converged or result.epochs == max_epochs
-    got = result.model.params.values
+    got = result.model.params
     assert np.abs(got - values).max() <= 1e-12 * np.abs(values).max()
     assert result.final_loss == pytest.approx(loss, rel=1e-12)
 
@@ -212,7 +209,7 @@ def test_train_model_loss_and_bias_step_keep_mean_and_sum_bits():
     def mean_sum_training(x, y, spec, config):
         params = init_params(spec)
         lr = _learning_rate(spec, params, x, config)
-        layers = params.layers()
+        layers = spec.layers(params)
         prev = loss = math.inf
         for epochs in range(1, config.max_epochs + 1):
             outputs = layer_outputs(spec, layers, x)
@@ -225,7 +222,7 @@ def test_train_model_loss_and_bias_step_keep_mean_and_sum_bits():
                 w -= lr * (delta.T @ h_in) / len(y)
                 b -= lr * delta.sum(axis=0) / len(y)
             prev = loss
-        return epochs, loss, params.values
+        return epochs, loss, params
 
     for widths, max_epochs in (((2, 8, 1), 3000), ((3, 5, 4, 1), 40)):
         x, y, spec = training_case(widths, n=37, seed=9)
@@ -233,7 +230,7 @@ def test_train_model_loss_and_bias_step_keep_mean_and_sum_bits():
         epochs, loss, values = mean_sum_training(x, y, spec, config)
         result = train_model(x, y, spec, config)
         assert (result.epochs, result.final_loss) == (epochs, loss)
-        assert np.array_equal(result.model.params.values, values)
+        assert np.array_equal(result.model.params, values)
 
 
 def test_accuracy_hand_value():

@@ -1,5 +1,6 @@
 """Long-tail knowledge distributions and contributor synthesis."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -258,6 +259,16 @@ def test_write_contributors_rejects_repeated_ids(tmp_path, contributors_small):
     with pytest.raises(DomainError, match="'c000' repeats in the contributors"):
         write_contributors([contributors_small[0], contributors_small[0]], str(tmp_path))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bad_id", ["../escaped", "a/b"])
+def test_write_contributors_rejects_path_separators(tmp_path, contributors_small, bad_id):
+    # <directory>/<id>.csv would land outside the directory or below it,
+    # where read_contributors never looks
+    bad = dataclasses.replace(contributors_small[1], id=bad_id)
+    with pytest.raises(DomainError, match=f"contributor id {bad_id!r}"):
+        write_contributors([contributors_small[0], bad], str(tmp_path / "out"))
+    assert not list(tmp_path.rglob("*"))
 
 
 def test_read_contributors_empty_dir(tmp_path):

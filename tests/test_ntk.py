@@ -10,33 +10,32 @@ from mixval.ntk import (
     MLPSpec,
     Model,
     NTKGram,
-    ParamVector,
     _sigmoid,
     bound_term,
     default_ridge,
-    forward,
     gradients,
     init_params,
     ntk_gram,
     predict,
 )
 
+from conftest import forward
 
-def per_example_gradient(spec: MLPSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
+
+def per_example_gradient(spec: MLPSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gradient of the scalar output for one input vector: the one row of
     a one-point ``gradients`` batch."""
     return gradients(spec, params, x)[0]
 
 
 def finite_difference_gradient(spec, params, x, h: float = 1e-6) -> np.ndarray:
-    base = params.values
-    out = np.zeros_like(base)
-    for j in range(len(base)):
-        up, down = base.copy(), base.copy()
+    out = np.zeros_like(params)
+    for j in range(len(params)):
+        up, down = params.copy(), params.copy()
         up[j] += h
         down[j] -= h
-        f_up = forward(spec, type(params)(up, params.weight_shapes), x)
-        f_down = forward(spec, type(params)(down, params.weight_shapes), x)
+        f_up = forward(spec, up, x)
+        f_down = forward(spec, down, x)
         out[j] = (f_up - f_down) / (2 * h)
     return out
 
@@ -66,16 +65,16 @@ def test_init_determinism_and_bias_zero():
     spec = MLPSpec(layer_widths=(3, 5, 1), init_seed=42)
     a = init_params(spec)
     b = init_params(spec)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = init_params(MLPSpec(layer_widths=(3, 5, 1), init_seed=43))
-    assert not np.array_equal(a.values, c.values)
-    for w, bias in a.layers():
+    assert not np.array_equal(a, c)
+    for w, bias in spec.layers(a):
         assert np.all(bias == 0.0)
 
 
 def test_init_variance_tracks_fan_in():
     spec = MLPSpec(layer_widths=(256, 256, 1), init_seed=0)
-    w0, _ = init_params(spec).layers()[0]
+    w0, _ = spec.layers(init_params(spec))[0]
     assert w0.var() == pytest.approx(1.0 / 256, rel=0.10)
 
 
@@ -87,9 +86,7 @@ def test_linear_identity_model_exact_forward():
     # identity squash, identity activation would need a hidden layer;
     # with no hidden layers the net is w @ x + b exactly
     spec = MLPSpec(layer_widths=(3, 1), output_squash="identity")
-    params = type(init_params(spec))(
-        np.array([2.0, -1.0, 0.5, 0.25]), ((1, 3),)
-    )
+    params = np.array([2.0, -1.0, 0.5, 0.25])
     x = np.array([1.0, 2.0, 4.0])
     assert forward(spec, params, x) == pytest.approx(2.0 - 2.0 + 2.0 + 0.25, abs=1e-15)
 
@@ -130,6 +127,18 @@ def test_batch_validation():
         ntk_gram(spec, params, np.array([[np.nan, 0.0, 0.0]]))
 
 
+def test_parameters_must_fit_the_spec():
+    # a (4, 32, 1) vector read as (4, 8, 1) would predict with 32 hidden units
+    spec = MLPSpec(layer_widths=(4, 8, 1))
+    wide = init_params(MLPSpec(layer_widths=(4, 32, 1)))
+    x = np.zeros((3, 4))
+    for call in (predict, gradients, ntk_gram):
+        with pytest.raises(DomainError, match=f"need {spec.n_params}"):
+            call(spec, wide, x)
+    with pytest.raises(DomainError, match=f"need {spec.n_params}"):
+        Model(spec, wide).predict(x)
+
+
 # ---------------------------------------------------------------------------
 # Gradients.
 
@@ -152,7 +161,7 @@ def test_gradients_match_finite_differences(widths, activation, squash):
 
 def test_linear_model_gradient_is_input():
     spec = MLPSpec(layer_widths=(3, 1), output_squash="identity")
-    params = type(init_params(spec))(np.array([0.3, -0.2, 0.9, 0.0]), ((1, 3),))
+    params = np.array([0.3, -0.2, 0.9, 0.0])
     x = np.array([1.5, -2.0, 0.25])
     grad = per_example_gradient(spec, params, x)
     # d(wx + b)/dw = x, d/db = 1
@@ -190,7 +199,7 @@ def einsum_hstack_gradients(spec, params, x):
         "identity": np.ones_like,
     }[spec.output_squash]
     act = np.tanh if spec.activation == "tanh" else (lambda z: z)
-    layers = params.layers()
+    layers = spec.layers(params)
     h, pre, post = x, [], [x]
     for li, (w, b) in enumerate(layers):
         z = h @ w.T + b
@@ -217,7 +226,7 @@ def test_gradients_equal_einsum_hstack_oracle(widths, activation, squash):
     base = init_params(spec)
     rng = np.random.default_rng(21)
     # nonzero biases and large inputs reach both sigmoid tails
-    params = ParamVector(base.values + 0.3 * rng.standard_normal(spec.n_params), base.weight_shapes)
+    params = base + 0.3 * rng.standard_normal(spec.n_params)
     x = 4.0 * rng.standard_normal((41, widths[0]))
     got = gradients(spec, params, x)
     want = einsum_hstack_gradients(spec, params, x)

@@ -1,0 +1,73 @@
+"""The benchmark's per-layer tracer still fits the library it wraps.
+
+``perfbench/tracing.py`` wraps library functions by module and name and
+its counters read arguments by position or keyword.  It is loaded by
+path and read, never changed, so a library refactor that renames a
+traced function or moves an argument fails here, not in a traced run.
+"""
+
+import ast
+import importlib
+import inspect
+import sys
+from pathlib import Path
+from types import ModuleType
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# (module, function, argument, position) of every argument a counter reads
+COUNTER_ARGS = {
+    ("mmd", "mmd", "x", 0),
+    ("mmd", "mmd", "y", 1),
+    ("mmd", "mmd", "spec", 2),
+    ("ntk", "gradients", "x", 2),
+    ("ntk", "ntk_gram", "spec", 0),
+    ("ntk", "bound_term", "gram", 0),
+    ("evalharness", "train_model", "config", 3),
+    ("scaling", "expected_test_error_exact", "params", 0),
+}
+
+
+def load_tracing() -> ModuleType:
+    # executed from its source, so no bytecode is written next to it
+    module = ModuleType("perfbench_tracing")
+    sys.modules[module.__name__] = module  # its dataclasses look it up here
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), vars(module))
+    return module
+
+
+def library_function(module_name: str, fn_name: str):
+    return vars(importlib.import_module(f"mixval.{module_name}")).get(fn_name)
+
+
+def test_every_traced_function_is_defined_where_the_tracer_looks():
+    tracing = load_tracing()
+    assert tracing.LAYERS
+    for module_name, fn_name, _, _ in tracing.LAYERS:
+        fn = library_function(module_name, fn_name)
+        assert callable(fn), f"mixval.{module_name}.{fn_name} is gone"
+        assert fn.__module__ == f"mixval.{module_name}", fn.__module__
+
+
+def test_counter_arguments_keep_their_names_and_positions():
+    tracing = load_tracing()
+    # the _arg(args, kwargs, position, name) reads of each counter
+    reads = {}
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            reads[node.name] = {
+                (call.args[3].value, call.args[2].value)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "_arg"
+            }
+    found = {
+        (module_name, fn_name, name, pos)
+        for module_name, fn_name, _, counter in tracing.LAYERS
+        if counter is not None
+        for name, pos in reads[counter.__name__]
+    }
+    assert found == COUNTER_ARGS
+    for module_name, fn_name, name, pos in COUNTER_ARGS:
+        params = list(inspect.signature(library_function(module_name, fn_name)).parameters)
+        assert params[pos] == name, f"mixval.{module_name}.{fn_name}{params}"

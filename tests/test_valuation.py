@@ -451,3 +451,5 @@ def test_coalition_weighting_validation():
         CoalitionWeighting(kind="banzhaf")
     with pytest.raises(DomainError):
         CoalitionWeighting(kind="shapley", mc_permutations=-1)
+    with pytest.raises(DomainError, match="loo"):
+        CoalitionWeighting(kind="loo", mc_permutations=5)
