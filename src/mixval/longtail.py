@@ -68,8 +68,8 @@ class TruncatedPowerLawSpec:
             )
 
     def probabilities(self) -> np.ndarray:
-        idx = np.arange(1, self.support_max + 1, dtype=float)
-        raw = np.where(idx <= self.cutoff, idx ** (-self.beta), 0.0)
+        raw = np.zeros(self.support_max)
+        raw[: self.cutoff] = np.arange(1, self.cutoff + 1, dtype=float) ** (-self.beta)
         return raw / raw.sum()
 
 
@@ -370,14 +370,15 @@ CSV_HEADER = ("id", "knowledge_index", "is_real", "label")
 def write_contributors(contributors: list[Contributor], directory: str) -> list[str]:
     """Write each contributor to ``<directory>/<id>.csv``, ids unique; returns the paths.
 
-    An id holding a path separator would put its file elsewhere: it is a
-    :class:`DomainError`, raised before any file is written.
+    An empty id (a hidden ``.csv``), one holding a path separator (a file
+    elsewhere) or a NUL byte (no file name at all) is a :class:`DomainError`
+    naming the id, raised before any file is written.
     """
     check_unique_ids((c.id for c in contributors), "contributors")
-    seps = {"/", os.sep, os.altsep} - {None}
+    banned = {"/", "\0", os.sep, os.altsep} - {None}
     for c in contributors:
-        if any(sep in c.id for sep in seps):
-            raise DomainError(f"contributor id {c.id!r} holds a path separator")
+        if not c.id or any(ch in c.id for ch in banned):
+            raise DomainError(f"contributor id {c.id!r} is empty or holds a path separator or NUL")
     paths = []
     for c in contributors:
         path = os.path.join(directory, f"{c.id}.csv")

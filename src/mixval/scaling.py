@@ -100,13 +100,17 @@ def expected_test_error_exact(
 
     Evaluates the finite sum over knowledge indices
     sum_i p_i * [(1 - (1 - q_i)**n) * (1 - rho(i)) + (1 - q_i)**n * (1 - gamma(i))]
-    with (1-q_i)**n computed as exp(n * log1p(-q_i)) for stability.
+    in limit-plus-gap form, error_limit(params) + sum_i gap_i * (1 - q_i)**n
+    with gap_i = p_i * ((1 - gamma(i)) - (1 - rho(i))), and (1-q_i)**n
+    computed as exp(n * log1p(-q_i)) for stability.
 
     ``n`` is a scalar (the result is a float) or a 1-d array of sample
-    counts (the result is an array of the same length).  The pmfs,
-    log1p(-q), 1 - rho and 1 - gamma do not depend on n: they are built
-    once per call and shared by every entry, which gets the same result,
-    bit for bit, as a call with that entry alone.
+    counts (the result is an array of the same length).  The limit, the
+    gaps and log1p(-q) do not depend on n: they are built once per call,
+    and each n costs one exp pass and one dot over the support, which
+    gets the same result, bit for bit, as a call with that entry alone.
+    Where q = 1, log1p(-1) = -inf makes the exp exactly 0 for every
+    n > 0, so such indices need no special case.
     """
     counts = np.asarray(n, dtype=float)
     if counts.ndim > 1:
@@ -120,33 +124,26 @@ def expected_test_error_exact(
         )
     mixture = params.mixture()
     p = mixture.real_dist.probabilities()
-    q = mixture.probabilities()
-    always_seen = np.flatnonzero(q >= 1.0)
     with np.errstate(divide="ignore"):
-        log_unseen = np.log1p(-np.minimum(q, 1.0))
-    del q
+        log_unseen = np.log1p(-np.minimum(mixture.probabilities(), 1.0))
     i = params.indexes()
     err_seen = 1.0 - np.clip(params.rho(i), 0.0, 1.0)
-    err_unseen = 1.0 - np.clip(params.gamma(i), 0.0, 1.0)
-    del i
-    # two support-sized buffers serve every n; an n x support matrix
+    base = float(np.dot(p, err_seen))
+    gap = p * ((1.0 - np.clip(params.gamma(i), 0.0, 1.0)) - err_seen)
+    del i, err_seen
+    # one support-sized buffer serves every n; an n x support matrix
     # would cost ~80 MB on a 97-point grid at support_max 1e5
     unseen = np.empty_like(p)
-    err = np.empty_like(p)
     values = np.empty(counts.shape)
     for k, count in enumerate(counts.flat):
         if count == 0:
             # nothing is seen yet, also where q = 1 (0 * log1p(-1) is NaN)
-            unseen.fill(1.0)
+            value = base + float(np.sum(gap))
         else:
             np.multiply(count, log_unseen, out=unseen)
             np.exp(unseen, out=unseen)
-            unseen[always_seen] = 0.0
-        np.subtract(1.0, unseen, out=err)
-        err *= err_seen
-        unseen *= err_unseen
-        err += unseen
-        values.flat[k] = min(max(float(np.dot(p, err)), 0.0), 1.0)
+            value = base + float(np.dot(gap, unseen))
+        values.flat[k] = min(max(value, 0.0), 1.0)
     return float(values) if values.ndim == 0 else values
 
 

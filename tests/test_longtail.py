@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,18 @@ def test_truncated_head_value_and_zero_tail():
     # renormalized head: q_1 = 1 / sum_{i<=100}(i^-1.5)
     zk = np.sum(np.arange(1, 101, dtype=float) ** -1.5)
     assert math.isclose(q[0], 1.0 / zk, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("support_max", [200, 2_000, 100_000])
+def test_truncated_law_matches_masked_full_support(support_max):
+    # the head alone is raised to -beta; the old whole-support expression
+    # masked the tail after raising it, with the same result bit for bit
+    idx = np.arange(1, support_max + 1, dtype=float)
+    for cutoff in (1, 10, 100, support_max):
+        for beta in (1.1, 1.5, 1.9, 2.5):
+            old = np.where(idx <= cutoff, idx ** (-beta), 0.0)
+            got = TruncatedPowerLawSpec(beta, cutoff, support_max).probabilities()
+            assert np.array_equal(got, old / old.sum()), (cutoff, beta)
 
 
 def test_mixture_combination():
@@ -261,12 +274,16 @@ def test_write_contributors_rejects_repeated_ids(tmp_path, contributors_small):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("bad_id", ["../escaped", "a/b"])
+@pytest.mark.parametrize(
+    "bad_id",
+    ["../escaped", "a/b", pytest.param("", id="empty"), pytest.param("a\x00b", id="nul")],
+)
 def test_write_contributors_rejects_path_separators(tmp_path, contributors_small, bad_id):
     # <directory>/<id>.csv would land outside the directory or below it,
-    # where read_contributors never looks
+    # where read_contributors never looks; an empty id writes a hidden
+    # .csv and a NUL byte names no file at all
     bad = dataclasses.replace(contributors_small[1], id=bad_id)
-    with pytest.raises(DomainError, match=f"contributor id {bad_id!r}"):
+    with pytest.raises(DomainError, match=re.escape(f"contributor id {bad_id!r}")):
         write_contributors([contributors_small[0], bad], str(tmp_path / "out"))
     assert not list(tmp_path.rglob("*"))
 

@@ -80,6 +80,14 @@ def test_oracle_hand_value_support_two():
     assert got == pytest.approx(0.26585786437626907, abs=1e-15)
 
 
+def bruteforce_error(p, q, rho, gam, n) -> float:
+    # the defining sum, one Python term per index
+    return math.fsum(
+        p[j] * ((1 - (1 - q[j]) ** n) * (1 - rho[j]) + (1 - q[j]) ** n * (1 - gam[j]))
+        for j in range(len(p))
+    )
+
+
 def test_oracle_matches_bruteforce_loop():
     params = ScalingParams(
         a=0.9, alpha=0.4, b=0.3, lam=0.8, beta=1.7, cutoff=3, pi=0.3, support_max=6
@@ -91,11 +99,40 @@ def test_oracle_matches_bruteforce_loop():
     rho = 0.9 * i**-0.4
     gam = 0.3 * i**-0.8
     for n in (0, 1, 2, 7, 100, 10_000):
-        hand = math.fsum(
-            p[j] * ((1 - (1 - q[j]) ** n) * (1 - rho[j]) + (1 - q[j]) ** n * (1 - gam[j]))
-            for j in range(6)
-        )
+        hand = bruteforce_error(p, q, rho, gam, n)
         assert expected_test_error_exact(params, n) == pytest.approx(hand, abs=1e-14)
+
+
+def test_oracle_matches_bruteforce_where_q_is_one():
+    # one index, drawn with probability 1: unseen before any draw, seen after
+    params = ScalingParams(a=0.9, alpha=0.5, b=0.2, lam=1.0, beta=1.5, cutoff=1, pi=0.5,
+                           support_max=1)
+    one = np.ones(1)
+    for n in (0, 0.5, 1, 7, 1e4):
+        hand = bruteforce_error(one, one, 0.9 * one, 0.2 * one, n)
+        assert expected_test_error_exact(params, n) == pytest.approx(hand, abs=1e-14)
+
+
+@pytest.mark.parametrize("pi", [0.02, 0.5, 1.0])
+def test_oracle_matches_fsum_at_full_support(pi):
+    params = full_params(pi)
+    i = np.arange(1, 100_001, dtype=float)
+    p = i**-1.5 / np.sum(i**-1.5)
+    head = np.where(i <= 100, i**-1.5, 0.0)
+    q = pi * p + (1 - pi) * head / head.sum()
+    for n in (0, 1e2, 1e4, 1e6):
+        unseen = np.exp(n * np.log1p(-q))
+        terms = p * ((1 - unseen) * (1 - i**-0.5) + unseen * (1 - 1 / i))
+        got = expected_test_error_exact(params, n)
+        assert abs(got - math.fsum(terms)) <= 2e-15, (n, got - math.fsum(terms))
+
+
+@pytest.mark.parametrize("pi", [0.02, 0.5, 1.0])
+def test_oracle_at_huge_n_is_the_limit(pi):
+    for params in (full_params(pi, support_max=2_000),
+                   ScalingParams(a=0.9, alpha=0.5, b=0.2, lam=1.0, beta=1.5, cutoff=1,
+                                 pi=pi, support_max=1)):
+        assert expected_test_error_exact(params, 1e300) == error_limit(params)
 
 
 def test_oracle_rejects_bad_sample_counts():
