@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def _as_key(part: int | str) -> int:
     if isinstance(part, str):
@@ -19,14 +21,25 @@ def _as_key(part: int | str) -> int:
     return int(part) & 0xFFFFFFFF
 
 
+def check_seed(seed: int) -> None:
+    """Reject a root seed that ``SeedSequence`` cannot take: a negative one."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
+def _sequence(seed: int, path: tuple[int | str, ...]) -> np.random.SeedSequence:
+    check_seed(seed)
+    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(_as_key(p) for p in path))
+
+
 def substream(seed: int, *path: int | str) -> np.random.Generator:
     """Return a generator for the substream named by ``path`` under ``seed``.
 
     The same (seed, path) pair always yields the same stream; distinct
-    paths yield statistically independent streams.
+    paths yield statistically independent streams.  A negative seed is
+    a :class:`DomainError`.
     """
-    key = tuple(_as_key(p) for p in path)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    return np.random.default_rng(_sequence(seed, path))
 
 
 def derive_seed(seed: int, *path: int | str) -> int:
@@ -35,8 +48,7 @@ def derive_seed(seed: int, *path: int | str) -> int:
     Used where an API takes a scalar seed rather than a generator; the
     derived value inherits the independence guarantees of substream.
     """
-    key = tuple(_as_key(p) for p in path)
-    state = np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(2)
+    state = _sequence(seed, path).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
 
 

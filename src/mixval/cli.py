@@ -237,6 +237,7 @@ _GENERATOR = {
     "mixture": _object(_MIXTURE), "feature_dim": _integer, "noise_scale": _real,
     "seed": _integer,
 }
+_FEATURE_DIM = 8  # the default of generated contributors and of bench's fixture
 _MODEL = _params(MLPSpec)
 _TRAINING = _params(TrainingConfig, "seed")
 _WEIGHTS = _params(ValuationWeights)
@@ -330,7 +331,7 @@ def _generate(gen: dict, plan, default_seed: int) -> list[Contributor]:
     return make_contributors(
         plan,
         MixtureSpec.power_law(**gen.get("mixture", {})),
-        gen.get("feature_dim", 8),
+        gen.get("feature_dim", _FEATURE_DIM),
         gen.get("seed", default_seed),
         **_given(gen, ("noise_scale",)),
     )
@@ -616,7 +617,7 @@ def run_bench(cfg: dict, run: RunResult) -> None:
     n = cfg.get("n_contributors", 100)
     if n < 1:
         raise ConfigError(f"n_contributors must be >= 1, got {n}")
-    feature_dim = cfg.get("feature_dim", 8)
+    feature_dim = cfg.get("feature_dim", _FEATURE_DIM)
     fixture = make_shift_fixture(
         pis=[round(float(p), 6) for p in np.linspace(1.0, 0.0, n)],
         samples_each=cfg.get("samples_each", 24),

@@ -62,7 +62,8 @@ class ScalingParams:
             raise DomainError(f"pi must be in (0, 1], got {self.pi}")
         if self.cutoff < 1 or self.support_max < self.cutoff:
             raise DomainError("need 1 <= cutoff <= support_max")
-        rho, gam = self.rho(self.indexes()), self.gamma(self.indexes())
+        i = self.indexes()
+        rho, gam = self.rho(i), self.gamma(i)
         if rho.max() > 1.0 or gam.max() > 1.0:
             raise DomainError("rho and gamma must map into [0, 1]")
         if np.any(gam > rho + 1e-12):
@@ -127,9 +128,9 @@ def expected_test_error_exact(
     with np.errstate(divide="ignore"):
         log_unseen = np.log1p(-np.minimum(mixture.probabilities(), 1.0))
     i = params.indexes()
-    err_seen = 1.0 - np.clip(params.rho(i), 0.0, 1.0)
+    err_seen = 1.0 - params.rho(i)
     base = float(np.dot(p, err_seen))
-    gap = p * ((1.0 - np.clip(params.gamma(i), 0.0, 1.0)) - err_seen)
+    gap = p * ((1.0 - params.gamma(i)) - err_seen)
     del i, err_seen
     # one support-sized buffer serves every n; an n x support matrix
     # would cost ~80 MB on a 97-point grid at support_max 1e5
@@ -151,7 +152,7 @@ def error_limit(params: ScalingParams) -> float:
     """Error as n -> infinity: every index is eventually observed (pi > 0)."""
     i = params.indexes()
     p = params.mixture().real_dist.probabilities()
-    return float(np.dot(p, 1.0 - np.clip(params.rho(i), 0.0, 1.0)))
+    return float(np.dot(p, 1.0 - params.rho(i)))
 
 
 def phase_closed_form(

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._seeds import cap_rows, substream
+from ._seeds import cap_rows, check_seed, substream
 from .errors import DomainError, MixvalError
 from .longtail import Contributor, check_unique_ids, pool_contributors
 from .mmd import _DEFAULT_SCALES, DistanceBlocks, MultiKernelSpec, mmd, sq_distances
@@ -50,12 +50,19 @@ class ValuationWeights:
         return asdict(self)
 
 
+def _weighted_total(terms: Sequence[float], weights: ValuationWeights) -> float:
+    # the one rule for a score's total: weights and terms pair up in
+    # field order (w1..w4 with ValuationScore.terms())
+    return math.fsum(weights.as_array() * np.asarray(terms, dtype=float))
+
+
 @dataclass(frozen=True)
 class ValuationScore:
     """Four-term decomposition of one contributor's value.
 
     total = w1*loss_term + w2*discrepancy_term + w3*ntk_term
-          + w4*composition_term, exactly as combined at construction.
+          + w4*composition_term, summed with ``math.fsum`` (correctly
+    rounded, so the same weights and terms always give the same bits).
     gradient_norm_bound is the diagnostic B of the capped Gram; it does
     not enter the total.
     """
@@ -84,23 +91,8 @@ class ValuationScore:
         weights: ValuationWeights,
         gradient_norm_bound: float = float("nan"),
     ) -> "ValuationScore":
-        total = math.fsum(
-            (
-                weights.w1 * loss_term,
-                weights.w2 * discrepancy_term,
-                weights.w3 * ntk_term,
-                weights.w4 * composition_term,
-            )
-        )
-        return cls(
-            contributor_id=contributor_id,
-            loss_term=loss_term,
-            discrepancy_term=discrepancy_term,
-            ntk_term=ntk_term,
-            composition_term=composition_term,
-            total=total,
-            gradient_norm_bound=gradient_norm_bound,
-        )
+        terms = (loss_term, discrepancy_term, ntk_term, composition_term)
+        return cls(contributor_id, *terms, _weighted_total(terms, weights), gradient_norm_bound)
 
 
 @dataclass(frozen=True)
@@ -139,6 +131,7 @@ class ValuationConfig:
             raise DomainError("kernel_scales must be finite, positive and nonempty")
         if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise DomainError(f"ridge must be finite and >= 0, got {self.ridge}")
+        check_seed(self.seed)  # here, not per contributor: only a cap that fires draws
 
 
 def empirical_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
@@ -371,19 +364,8 @@ def fit_score_weights(
 def rescore(
     scores: Sequence[ValuationScore], weights: ValuationWeights
 ) -> list[ValuationScore]:
-    """Recombine existing terms under new weights (no recomputation)."""
-    return [
-        ValuationScore.from_terms(
-            s.contributor_id,
-            s.loss_term,
-            s.discrepancy_term,
-            s.ntk_term,
-            s.composition_term,
-            weights,
-            gradient_norm_bound=s.gradient_norm_bound,
-        )
-        for s in scores
-    ]
+    """Recombine stored terms under new weights; only ``total`` changes."""
+    return [replace(s, total=_weighted_total(s.terms(), weights)) for s in scores]
 
 
 # ---------------------------------------------------------------------------

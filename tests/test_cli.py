@@ -316,6 +316,40 @@ def test_non_finite_value_exits_3(tmp_path, capsys, command, updates):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, updates, flags, seed",
+    [
+        ("value", {"seed": -1}, (), -1),
+        ("marginal", {"seed": -1}, (), -1),
+        ("groundtruth", {"seed": -1}, (), -1),
+        ("bench", {"seed": -1}, (), -1),
+        ("value", {}, ("--seed", "-5"), -5),
+        ("value", {"contributors": {"plan": [[6, 4]], "feature_dim": 4, "seed": -3}}, (), -3),
+        ("value", {"model": {"layer_widths": [4, 8, 1], "init_seed": -4}}, (), -4),
+        ("gram", {"model": {"layer_widths": [4, 6, 1], "init_seed": -4}}, (), -4),
+        # the root seed reaches only the ntk cap, which fires for one
+        # contributor of two: still one error, not one failed contributor
+        (
+            "value",
+            {
+                "seed": -1, "ntk_cap": 4,
+                "contributors": {"plan": [[6, 4], [2, 1]], "feature_dim": 4, "seed": 7},
+                "test": {"size": 12, "feature_dim": 4, "seed": 8},
+            },
+            (),
+            -1,
+        ),
+    ],
+)
+def test_negative_seed_exits_3(tmp_path, capsys, command, updates, flags, seed):
+    cfg = write_config(tmp_path, "cfg.json", edited_payload(tmp_path, command, updates))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out), *flags)
+    assert code == 3, err
+    assert f"error[domain]: seed must be >= 0, got {seed}" in err
+    assert not out.exists()
+
+
 def test_numerical_error_exits_4(tmp_path, capsys, monkeypatch):
     def explode(cfg, out):
         raise NumericalError("synthetic instability")

@@ -1,5 +1,6 @@
 """Four-term contributor scores, weight fitting, and marginal values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -250,6 +251,21 @@ def test_fit_score_weights_and_rescore(contributors_small, test_x_small, model_s
     matrix = term_matrix(scores)
     for r, row in zip(refitted, matrix):
         assert r.total == pytest.approx(float(row @ fit.weights.as_array()), abs=1e-12)
+
+
+def test_rescore_replaces_only_the_total(contributors_small, test_x_small, model_small):
+    scores, _ = score_all(
+        contributors_small, test_x_small, model_small, ValuationConfig(seed=4)
+    )
+    weights = ValuationWeights(0.5, -1.0, 2.0, 0.25)
+    for s, r in zip(scores, rescore(scores, weights)):
+        assert math.isfinite(s.gradient_norm_bound)
+        want = math.fsum(w * t for w, t in zip(dataclasses.astuple(weights), s.terms()))
+        assert r.total == want
+        assert r.total != s.total
+        for f in dataclasses.fields(ValuationScore):
+            if f.name != "total":
+                assert getattr(r, f.name) == getattr(s, f.name), f.name
 
 
 # ---------------------------------------------------------------------------
