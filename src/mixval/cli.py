@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from ._seeds import derive_seed
+from ._seeds import check_seed, derive_seed
 from .errors import ConfigError, DomainError, MixvalError, NumericalError
 from .evalharness import (
     TrainingConfig,
@@ -726,6 +726,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for key in ("seed", "weighting", "permutations"):  # flags override the config
             if getattr(args, key, None) is not None:
                 cfg[key] = getattr(args, key)
+        if "seed" in cfg:  # checked here too for the subcommands that only record it
+            check_seed(_integer(cfg["seed"], "seed"))
         run = RunResult(args.out)
         _RUNNERS[args.subcommand](cfg, run)
     except ConfigError as exc:

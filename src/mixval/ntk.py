@@ -9,9 +9,10 @@ into each layer's weights and bias.  One reverse pass,
 example's output weighted by 1) and the full-batch training step of
 ``evalharness.train_model`` (outputs weighted by their residuals).  It
 takes every derivative from the forward pass's outputs, so nothing is
-recomputed from pre-activations.  The Gram matrix of the per-example
-gradients is the empirical NTK at the given parameters, and the bound
-term is the quadratic form sqrt(r' (Gram + ridge I)^-1 r / n).
+recomputed from pre-activations.  The Gram matrix K = J J' of the
+per-example gradients J is the empirical NTK at the given parameters,
+and the bound term is the quadratic form sqrt(r' (K + ridge I)^-1 r / n),
+solved in the smaller of the n x n and P x P spaces.
 """
 
 from __future__ import annotations
@@ -204,21 +205,25 @@ def gradients(spec: MLPSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
 class NTKGram:
-    """Empirical tangent-kernel Gram matrix with the gradient-norm bound B.
+    """Empirical tangent-kernel Gram K = J J' with the gradient-norm bound B.
 
-    Cheap structural invariants (square, symmetric, nonnegative
-    diagonal bounded by B^2) are validated here; positive
-    semidefiniteness holds by construction as a gradient Gram matrix
-    and is asserted spectrally in tests, not per instance.
+    J is the (n, P) matrix of per-example gradients.  A Gram holds one
+    of two forms:
+
+    - the n x n matrix, as ``NTKGram(matrix, gradient_norm_bound)``
+      builds it and ``ntk_gram`` does when n <= P.  Cheap structural
+      invariants (square, symmetric, nonnegative diagonal bounded by
+      B^2) are validated here; positive semidefiniteness holds by
+      construction as a gradient Gram matrix and is asserted
+      spectrally in tests, not per instance;
+    - J itself (``jacobian``), as ``ntk_gram`` keeps it when n > P.  B
+      is then the largest row norm and the trace the sum of J's squared
+      entries; ``matrix`` is formed as J @ J' on first read.
     """
 
-    matrix: np.ndarray
-    gradient_norm_bound: float
-
-    def __post_init__(self) -> None:
-        m = self.matrix
+    def __init__(self, matrix: np.ndarray, gradient_norm_bound: float) -> None:
+        m = matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise DomainError(f"Gram matrix must be square and nonempty, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -227,22 +232,48 @@ class NTKGram:
         if not np.array_equal(m, m.T) and np.abs(m - m.T).max() > 1e-9:
             raise NumericalError("Gram matrix asymmetry exceeds 1e-9")
         d = np.diag(m)
-        if d.min() < -1e-12 or d.max() > self.gradient_norm_bound**2 + 1e-9:
+        # B = sqrt(max d) squares back to max d only to within an ulp,
+        # which outgrows an absolute slack at large gradient scale
+        b2 = gradient_norm_bound**2
+        if d.min() < -1e-12 or d.max() > b2 + max(1e-9, 1e-12 * b2):
             raise NumericalError("Gram diagonal outside [0, B^2]")
+        self._matrix = m
+        self.jacobian: np.ndarray | None = None
+        self.gradient_norm_bound = gradient_norm_bound
+        self.n = len(m)
+        self._trace = float(np.trace(m))
+
+    @classmethod
+    def of_jacobian(cls, jacobian: np.ndarray) -> "NTKGram":
+        """The Gram J J' of a nonempty (n, P) Jacobian, held as J."""
+        sq_norms = np.einsum("ij,ij->i", jacobian, jacobian)
+        if not np.all(np.isfinite(sq_norms)):
+            raise NumericalError("Gram matrix contains non-finite entries")
+        gram = cls.__new__(cls)
+        gram._matrix = None
+        gram.jacobian = jacobian
+        gram.gradient_norm_bound = float(np.sqrt(sq_norms.max()))
+        gram.n = len(jacobian)
+        gram._trace = float(sq_norms.sum())
+        return gram
 
     @property
-    def n(self) -> int:
-        return len(self.matrix)
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self.jacobian @ self.jacobian.T  # syrk: exactly symmetric
+        return self._matrix
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix))
+        return self._trace
 
 
 def ntk_gram(spec: MLPSpec, params: np.ndarray, x: np.ndarray) -> NTKGram:
-    """Gram[i][j] = <grad f(x_i), grad f(x_j)> at the given parameters."""
+    """Gram[i][j] = <grad f(x_i), grad f(x_j)>, held as J when n > P."""
     g = gradients(spec, params, x)
     if len(g) == 0:
         raise DomainError("NTK Gram of an empty batch is undefined")
+    if len(g) > spec.n_params:
+        return NTKGram.of_jacobian(g)
     m = g @ g.T  # numpy computes g @ g.T with syrk: exactly symmetric
     bound = float(np.sqrt(np.maximum(np.diag(m), 0.0).max()))
     return NTKGram(matrix=m, gradient_norm_bound=bound)
@@ -258,13 +289,36 @@ def _condition(gram: NTKGram, ridge: float) -> float:
     return float(np.linalg.cond(gram.matrix + ridge * np.eye(gram.n)))
 
 
+def _push_through(j: np.ndarray, r: np.ndarray, ridge: float) -> float:
+    """r' (J J' + ridge I)^-1 r through the P x P system J'J + ridge I.
+
+    By the push-through identity (J J' + ridge I)^-1 = (I - J (J'J +
+    ridge I)^-1 J') / ridge, ridge times the form is r'r - b'x with
+    b = J'r and x = (J'J + ridge I)^-1 b: the minimum over x of
+    ||r - J x||^2 + ridge ||x||^2.  It is evaluated as that sum at the
+    solved x, where the solve's error enters squared, rather than as
+    the difference r'r - b'x, which cancels.
+    """
+    # syrk makes J'J exactly symmetric, so its transpose is the same matrix
+    # in Fortran order, which cho_factor factors in place
+    a = (j.T @ j).T
+    a.flat[:: len(a) + 1] += ridge
+    x = cho_solve(cho_factor(a, overwrite_a=True), j.T @ r)
+    e = r - j @ x
+    return float((e @ e + ridge * (x @ x)) / ridge)
+
+
 def bound_term(
     gram: NTKGram, residuals: np.ndarray, ridge: float | None = None
 ) -> float:
     """sqrt(r' (Gram + ridge I)^-1 r / n) via a linear solve.
 
-    ``ridge=None`` applies the relative default; the system is solved
-    with a Cholesky factorization (never an explicit inverse).
+    ``ridge=None`` applies the relative default.  The system is solved
+    with a Cholesky factorization, never an explicit inverse: of the
+    n x n matrix K + ridge I when the Gram holds its matrix (n <= P),
+    of the P x P matrix J'J + ridge I when it holds J (n > P), which
+    is cheaper there and rounds less.  Above P, K has rank <= P < n,
+    so ridge 0 is singular.
     """
     r = np.asarray(residuals, dtype=float).ravel()
     if len(r) != gram.n:
@@ -275,16 +329,24 @@ def bound_term(
         ridge = default_ridge(gram)
     if not (math.isfinite(ridge) and ridge >= 0):
         raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
-    a = gram.matrix.copy(order="F")  # Fortran order: cho_factor works in place
-    a.flat[:: gram.n + 1] += ridge
+    j = gram.jacobian
+    if j is not None and ridge == 0:
+        raise NumericalError(
+            f"Gram system singular after ridge 0: rank <= {j.shape[1]} parameters "
+            f"< {gram.n} points"
+        )
     try:
-        sol = cho_solve(cho_factor(a, overwrite_a=True), r)
+        if j is None:
+            a = gram.matrix.copy(order="F")  # Fortran order: cho_factor works in place
+            a.flat[:: gram.n + 1] += ridge
+            quad = float(r @ cho_solve(cho_factor(a, overwrite_a=True), r))
+        else:
+            quad = _push_through(j, r, ridge)
     except LinAlgError as exc:
         raise NumericalError(
             f"Gram system singular after ridge {ridge:g} "
             f"(condition number ~ {_condition(gram, ridge):.3e})"
         ) from exc
-    quad = float(r @ sol)
     if not math.isfinite(quad) or quad < -1e-8 * max(1.0, gram.trace()):
         raise NumericalError(
             f"quadratic form {quad!r} unusable; Gram condition number "

@@ -339,6 +339,15 @@ def test_non_finite_value_exits_3(tmp_path, capsys, command, updates):
             (),
             -1,
         ),
+        # subcommands that draw nothing from the seed and only record it
+        ("simulate", {"seed": -1}, (), -1),
+        ("simulate", {}, ("--seed", "-7"), -7),
+        ("gram", {"seed": -2}, (), -2),
+        ("gram", {}, ("--seed", "-2"), -2),
+        ("discrepancy", {"seed": -1}, (), -1),
+        ("discrepancy", {}, ("--seed", "-3"), -3),
+        ("evaluate", {"seed": -1}, (), -1),
+        ("evaluate", {}, ("--seed", "-6"), -6),
     ],
 )
 def test_negative_seed_exits_3(tmp_path, capsys, command, updates, flags, seed):
@@ -360,6 +369,16 @@ def test_numerical_error_exits_4(tmp_path, capsys, monkeypatch):
         capsys, "gram", "--config", str(cfg), "--out", str(tmp_path / "out")
     )
     assert code == 4 and "error[numerical]" in err
+
+
+def test_gram_without_ridge_above_parameter_count_exits_4(tmp_path, capsys):
+    # 9 samples, P = 5 parameters: the Gram has rank <= 5 < 9
+    payload = edited_payload(tmp_path, "gram", {"model": {"layer_widths": [4, 1]}, "ridge": 0})
+    cfg = write_config(tmp_path, "gram.json", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "gram", "--config", str(cfg), "--out", str(out))
+    assert code == 4 and "error[numerical]" in err and "singular" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tangent-kernel gradients, Gram matrices, and the bound term."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -294,6 +295,35 @@ def test_gram_validation():
         ntk_gram(spec, init_params(spec), np.zeros((0, 3)))
 
 
+def test_gram_diagonal_check_is_relative_at_large_scale():
+    # B = sqrt(max diag) squares back to max diag only within an ulp,
+    # more than 1e-9 once the diagonal reaches ~1e7
+    spec = MLPSpec((4, 8, 1), activation="identity", output_squash="identity")
+    params = init_params(spec)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        gram = ntk_gram(spec, params, rng.standard_normal((5, 4)) * 1e3)
+        assert gram.gradient_norm_bound**2 == pytest.approx(np.diag(gram.matrix).max(), rel=1e-15)
+
+
+def test_gram_above_parameter_count_keeps_the_jacobian():
+    # P = 16: n = 16 is held as the matrix, n = 17 and 30 as the Jacobian
+    spec = MLPSpec(layer_widths=(3, 3, 1), init_seed=1)
+    params = init_params(spec)
+    x = np.random.default_rng(2).standard_normal((30, 3))
+    for n, held_as_jacobian in ((16, False), (17, True), (30, True)):
+        gram = ntk_gram(spec, params, x[:n])
+        g = gradients(spec, params, x[:n])
+        assert (gram.jacobian is not None) == held_as_jacobian
+        # the n x n matrix, and so gram.csv, has the bytes of g @ g.T
+        assert gram.matrix.tobytes() == (g @ g.T).tobytes()
+        assert gram.n == n
+        assert gram.trace() == pytest.approx(np.trace(gram.matrix), rel=1e-14)
+        assert gram.gradient_norm_bound == pytest.approx(
+            np.linalg.norm(g, axis=1).max(), rel=1e-14
+        )
+
+
 def test_gram_symmetry_tolerance():
     base = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
     for gap, accepted in ((0.0, True), (1e-12, True), (1e-8, False)):
@@ -358,3 +388,55 @@ def test_bound_term_validation():
     singular = NTKGram(matrix=np.zeros((3, 3)), gradient_norm_bound=0.0)
     with pytest.raises(NumericalError, match="singular"):
         bound_term(singular, np.ones(3), ridge=0.0)
+
+
+def exact_quadratic_form(j: np.ndarray, r: np.ndarray, ridge: float) -> Fraction:
+    """r' (J J' + ridge I)^-1 r in exact rationals of the float64 inputs,
+    by Gaussian elimination of the P x P system (J'J + ridge I) s = J'r."""
+    jf = [[Fraction(v) for v in row] for row in j.tolist()]
+    rf = [Fraction(v) for v in r.tolist()]
+    lam = Fraction(ridge)
+    p = j.shape[1]
+    b = [sum((row[a] * ri for row, ri in zip(jf, rf)), Fraction(0)) for a in range(p)]
+    m = [
+        [sum((row[a] * row[c] for row in jf), Fraction(0)) + (lam if a == c else 0)
+         for c in range(p)] + [b[a]]
+        for a in range(p)
+    ]
+    for c in range(p):
+        for k in range(c + 1, p):
+            f = m[k][c] / m[c][c]
+            m[k] = [mk - f * mc for mk, mc in zip(m[k], m[c])]
+    sol = [Fraction(0)] * p
+    for a in range(p - 1, -1, -1):
+        rest = sum((m[a][c] * sol[c] for c in range(a + 1, p)), Fraction(0))
+        sol[a] = (m[a][p] - rest) / m[a][a]
+    # push-through: (J J' + ridge I)^-1 = (I - J (J'J + ridge I)^-1 J') / ridge
+    rr = sum((ri * ri for ri in rf), Fraction(0))
+    return (rr - sum((bi * si for bi, si in zip(b, sol)), Fraction(0))) / lam
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bound_term_above_parameter_count_matches_exact_solve(seed):
+    # n = 30 > P = 16 at the default ridge: an n x n Cholesky misses by
+    # up to 3.6e-11 relative on these seeds, the P x P solve by 2e-16
+    spec = MLPSpec(layer_widths=(3, 3, 1))
+    params = init_params(spec)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((30, 3))
+    r = rng.uniform(size=30) - predict(spec, params, x)
+    gram = ntk_gram(spec, params, x)
+    ridge = default_ridge(gram)
+    want = math.sqrt(exact_quadratic_form(gradients(spec, params, x), r, ridge) / 30)
+    assert bound_term(gram, r) == pytest.approx(want, rel=1e-11)
+
+
+def test_bound_term_above_parameter_count_needs_a_ridge():
+    # J J' has rank <= P < n: singular without a ridge in either form
+    spec = MLPSpec(layer_widths=(3, 3, 1))
+    x = np.random.default_rng(4).standard_normal((30, 3))
+    gram = ntk_gram(spec, init_params(spec), x)
+    assert gram.jacobian is not None
+    with pytest.raises(NumericalError, match="singular after ridge 0"):
+        bound_term(gram, np.ones(30), ridge=0.0)
+    assert bound_term(gram, np.zeros(30)) == 0.0

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # (module, function, argument, position) of every argument a counter reads
@@ -71,3 +73,22 @@ def test_counter_arguments_keep_their_names_and_positions():
     for module_name, fn_name, name, pos in COUNTER_ARGS:
         params = list(inspect.signature(library_function(module_name, fn_name)).parameters)
         assert params[pos] == name, f"mixval.{module_name}.{fn_name}{params}"
+
+
+def test_gram_and_bound_counters_read_real_grams():
+    # the counters read NTKGram.n from what ntk_gram returns, on both
+    # sides of the parameter count (P = 16), where the Gram's form differs
+    tracing = load_tracing()
+    ntk = importlib.import_module("mixval.ntk")
+    spec = ntk.MLPSpec(layer_widths=(3, 3, 1))
+    params = ntk.init_params(spec)
+    x = np.random.default_rng(0).standard_normal((40, 3))
+    sizes = (5, 16, 17, 40)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for n in sizes:
+            ntk.bound_term(ntk.ntk_gram(spec, params, x[:n]), np.ones(n))
+    spans = tracer.reset()
+    assert spans["ntk.gram"].calls == spans["ntk.bound"].calls == len(sizes)
+    assert spans["ntk.gram"].counts["flops"] == sum(2 * n * n * spec.n_params for n in sizes)
+    assert spans["ntk.bound"].counts["n_gt_p"] == 2
