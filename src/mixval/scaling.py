@@ -14,6 +14,7 @@ boundaries sit near n = k**beta and n = k**beta / pi.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,6 +36,15 @@ class ScalingParams:
     support_max: truncation point of the exact finite sum; keep it well
         above (pi * n_max)**(1/beta) or the truncation bends the tail
         of swept curves downward inside the analysis window
+
+    Construction checks that rho and gamma map into [0, 1] and that
+    gamma(i) <= rho(i) + 1e-12 at every index without touching the
+    support: both peak at i = 1, and gamma - rho = b*i**(-lam) -
+    a*i**(-alpha) has at most one interior maximum (at
+    i* = (a*alpha / (b*lam))**(1/(alpha-lam)) when alpha > lam), so the
+    endpoints and the integers around i* decide the check.  A difference
+    within rounding of the slack there is settled over the whole
+    support, so the accepted set is the full-support check's.
     """
 
     a: float
@@ -60,14 +70,33 @@ class ScalingParams:
             raise DomainError(f"beta must be > 1, got {self.beta}")
         if not 0 < self.pi <= 1:
             raise DomainError(f"pi must be in (0, 1], got {self.pi}")
+        sizes = (self.cutoff, self.support_max)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
+            raise DomainError(f"cutoff and support_max must be integers, got {sizes}")
         if self.cutoff < 1 or self.support_max < self.cutoff:
             raise DomainError("need 1 <= cutoff <= support_max")
-        i = self.indexes()
+        i = self._peak_indexes()
         rho, gam = self.rho(i), self.gamma(i)
         if rho.max() > 1.0 or gam.max() > 1.0:
             raise DomainError("rho and gamma must map into [0, 1]")
+        if abs(np.max(gam - rho) - 1e-12) < 1e-14:
+            # this close to the slack, rounding at indexes outside the window can tip it
+            i = self.indexes()
+            rho, gam = self.rho(i), self.gamma(i)
         if np.any(gam > rho + 1e-12):
             raise DomainError("gamma(i) <= rho(i) must hold for every index")
+
+    def _peak_indexes(self) -> np.ndarray:
+        """1, support_max and the integers around gamma - rho's interior maximum."""
+        picked = {1, self.support_max}
+        if self.alpha > self.lam > 0 and self.b > 0:
+            # log i* = log(a*alpha / (b*lam)) / (alpha - lam); i* itself can overflow
+            log_peak = (
+                math.log(self.a) + math.log(self.alpha) - math.log(self.b) - math.log(self.lam)
+            ) / (self.alpha - self.lam)
+            centre = int(math.exp(min(max(log_peak, 0.0), math.log(self.support_max))))
+            picked.update(range(max(1, centre - 2), min(self.support_max, centre + 3) + 1))
+        return np.array(sorted(picked), dtype=float)
 
     def indexes(self) -> np.ndarray:
         return np.arange(1, self.support_max + 1, dtype=float)
@@ -112,6 +141,12 @@ def expected_test_error_exact(
     gets the same result, bit for bit, as a call with that entry alone.
     Where q = 1, log1p(-1) = -inf makes the exp exactly 0 for every
     n > 0, so such indices need no special case.
+
+    The real pmf p is built once and q = pi * p + (1 - pi) * p_synth is
+    formed from it, the same expression as ``MixtureSpec.probabilities``.
+    The limit is kept on ``params``, where :func:`error_limit` finds it,
+    so a sweep and its breakpoint analysis build the support-sized arrays
+    once.
     """
     counts = np.asarray(n, dtype=float)
     if counts.ndim > 1:
@@ -125,11 +160,15 @@ def expected_test_error_exact(
         )
     mixture = params.mixture()
     p = mixture.real_dist.probabilities()
+    q = mixture.pi * p + (1.0 - mixture.pi) * mixture.synth_dist.probabilities()
     with np.errstate(divide="ignore"):
-        log_unseen = np.log1p(-np.minimum(mixture.probabilities(), 1.0))
+        log_unseen = np.log1p(-np.minimum(q, 1.0))
+    del q
     i = params.indexes()
     err_seen = 1.0 - params.rho(i)
     base = float(np.dot(p, err_seen))
+    # error_limit's expression, bit for bit; the frozen params carry it
+    object.__setattr__(params, "_error_limit", base)
     gap = p * ((1.0 - params.gamma(i)) - err_seen)
     del i, err_seen
     # one support-sized buffer serves every n; an n x support matrix
@@ -149,7 +188,15 @@ def expected_test_error_exact(
 
 
 def error_limit(params: ScalingParams) -> float:
-    """Error as n -> infinity: every index is eventually observed (pi > 0)."""
+    """Error as n -> infinity: every index is eventually observed (pi > 0).
+
+    Returns the value an earlier :func:`expected_test_error_exact` call
+    on this same ``params`` object computed, which is this expression bit
+    for bit; otherwise it builds p and rho over the support.
+    """
+    limit = getattr(params, "_error_limit", None)
+    if limit is not None:
+        return limit
     i = params.indexes()
     p = params.mixture().real_dist.probabilities()
     return float(np.dot(p, 1.0 - params.rho(i)))
@@ -178,7 +225,7 @@ def phase_closed_form(
         raise DomainError("the plateau regime has no closed-form expression")
     if phase not in (1, 3):
         raise DomainError(f"phase must be 1 or 3, got {phase}")
-    if n < 1:
+    if not n >= 1:
         raise DomainError(f"closed forms require n >= 1, got {n}")
     a, b, k = params.a, params.b, float(params.cutoff)
     e_obs = (1.0 - params.alpha - params.beta) / params.beta

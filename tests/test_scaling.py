@@ -67,6 +67,89 @@ def test_params_validation():
                 ScalingParams(**{**good, field: bad})
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [dict(cutoff=10.5), dict(cutoff=True), dict(cutoff=np.float64(10.0)),
+     dict(support_max=100.5), dict(support_max="100"), dict(support_max=None)],
+)
+def test_params_reject_non_integer_sizes(sizes):
+    # nothing at construction reads the support, so the type is checked there
+    with pytest.raises(DomainError, match="integers"):
+        ScalingParams(**{**dict(a=1.0, alpha=0.5, b=0.5, lam=1.0, beta=1.5, cutoff=10,
+                                pi=0.5, support_max=100), **sizes})
+    ScalingParams(a=1.0, alpha=0.5, b=0.5, lam=1.0, beta=1.5, cutoff=np.int64(10), pi=0.5,
+                  support_max=np.int32(100))
+
+
+def full_support_accepts(a, alpha, b, lam, support_max) -> bool:
+    # the check as written over every index 1..support_max
+    i = np.arange(1, support_max + 1, dtype=float)
+    rho, gam = a * i ** (-alpha), b * i ** (-lam)
+    return bool(rho.max() <= 1.0 and gam.max() <= 1.0 and not np.any(gam > rho + 1e-12))
+
+
+def validation_cases(rng, count):
+    for case in range(count):
+        support_max = int(np.exp(rng.uniform(0.0, math.log(3_000))))
+        a = 1.0 if case % 5 == 0 else rng.uniform(0.01, 1.05)
+        alpha, lam = rng.uniform(0.0, 2.0, size=2)
+        kind = case % 6
+        if kind == 1:
+            lam = alpha
+        elif kind == 2:
+            lam = 0.0
+        # gamma crosses rho near index k, just above or below it
+        k = int(rng.integers(1, support_max + 1))
+        eps = rng.choice([0.0, 1e-15, 1e-13, 1e-12, 1e-9]) * rng.choice([-1.0, 1.0])
+        b = a * k ** (lam - alpha) * (1.0 + eps)
+        if kind == 3:
+            b = 0.0
+        elif kind == 4:
+            support_max = 1
+        elif kind == 5:
+            # an interior peak of gamma - rho within 3% of the 1e-12 slack
+            lam = 10 ** rng.uniform(-6, 0.3)
+            alpha = lam * (1.0 + 10 ** rng.uniform(-11, -1))
+            peak = np.exp(rng.uniform(0.0, math.log(support_max)))
+            off = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-5, -1.5)
+            a = min(1e-12 * lam * peak**alpha / (alpha - lam) * (1.0 + off), 1.0)
+            b = a * alpha * peak ** (lam - alpha) / lam
+        yield a, alpha, b, lam, support_max
+
+
+def test_params_validation_matches_full_support_check():
+    rng = np.random.default_rng(16)
+    cases = list(validation_cases(rng, 20_000))
+    # rounding makes gamma - rho cross the slack at scattered indices (3, 6, 12, ...)
+    # but at none of the indices around its peak
+    cases.append((0.039813192292928186, 8.293781996962448e-06,
+                  0.039813192293928185, 8.293781996754127e-06, 20_000))
+    rejected = 0
+    for a, alpha, b, lam, support_max in cases:
+        want = full_support_accepts(a, alpha, b, lam, support_max)
+        try:
+            ScalingParams(a=a, alpha=alpha, b=b, lam=lam, beta=1.5, cutoff=1, pi=0.5,
+                          support_max=support_max)
+            got = True
+        except DomainError:
+            got = False
+        assert got == want, (a, alpha, b, lam, support_max)
+        rejected += not want
+    assert 0.2 * len(cases) < rejected < 0.8 * len(cases)
+    assert not full_support_accepts(*cases[-1])
+
+
+def test_params_validation_does_not_build_the_support(monkeypatch):
+    def no_support(self):
+        raise AssertionError("validation built the whole support")
+
+    monkeypatch.setattr(ScalingParams, "indexes", no_support)
+    for pi in (0.1, 0.5, 1.0):
+        full_params(pi, support_max=10**9)
+    # alpha > lam: gamma - rho peaks beyond the support
+    ScalingParams(a=0.8, alpha=1.0, b=1e-4, lam=0.4, beta=1.5, cutoff=10, pi=0.5)
+
+
 def test_oracle_hand_value_support_two():
     params = ScalingParams(
         a=1.0, alpha=0.5, b=0.0, lam=0.0, beta=2.0, cutoff=1, pi=0.5, support_max=2
@@ -187,6 +270,44 @@ def test_error_limit_value_and_convergence():
     assert expected_test_error_exact(params, 1e12) == pytest.approx(limit, abs=1e-12)
 
 
+def unmemoized_limit(params: ScalingParams) -> float:
+    i = params.indexes()
+    return float(np.dot(params.mixture().real_dist.probabilities(), 1.0 - params.rho(i)))
+
+
+def test_error_limit_reuses_the_oracle_limit_bit_for_bit(monkeypatch):
+    grid = log_grid(10, 1e6, 8)
+    first = full_params(0.3, support_max=50_000)
+    assert error_limit(first) == unmemoized_limit(first)
+    other = ScalingParams(a=0.9, alpha=0.7, b=0.5, lam=1.2, beta=2.0, cutoff=30, pi=0.2,
+                          support_max=20_000)
+    params = full_params(0.3, support_max=50_000)
+    sweep(params, grid)
+    sweep(other, grid)
+    want = [unmemoized_limit(p) for p in (first, params, other)]
+    assert [error_limit(p) for p in (first, params, other)] == want
+    # after a sweep the limit comes without building the support again
+    monkeypatch.setattr(ScalingParams, "indexes", lambda self: pytest.fail("support rebuilt"))
+    assert [error_limit(p) for p in (params, other)] == want[1:]
+
+
+@pytest.mark.parametrize("pi", [0.02, 0.5, 1.0])
+def test_oracle_mixture_pmf_is_the_mixture_spec(monkeypatch, pi):
+    params = full_params(pi, support_max=5_000)
+    seen = []
+    log1p = np.log1p
+
+    def spy(x, *args, **kwargs):
+        seen.append(np.array(x, copy=True))
+        return log1p(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log1p", spy)
+    expected_test_error_exact(params, 100.0)
+    monkeypatch.undo()
+    want = -np.minimum(params.mixture().probabilities(), 1.0)
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
+
+
 def test_error_bounds_and_monotonicity():
     params = full_params(0.25, support_max=2_000)
     i = np.arange(1, 2_001, dtype=float)
@@ -269,6 +390,14 @@ def test_phase_closed_form_regime_checks():
     # slack constants widen the admissible windows
     assert phase_closed_form(params, 2000.0, 1, c1=2.5) > 0
     assert phase_closed_form(params, 5000.0, 3, c2=0.5) > 0
+
+
+def test_phase_closed_form_rejects_nan_sample_count():
+    params = full_params(0.1)
+    for phase in (1, 3):
+        with pytest.raises(DomainError, match="n >= 1"):
+            phase_closed_form(params, float("nan"), phase)
+    assert phase_closed_form(params, float("inf"), 3) == pytest.approx(0.1)
 
 
 def test_reducible_error_diverges_across_pi():
