@@ -15,8 +15,8 @@ import hashlib
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import DegenerateDataError, DomainError
 from .longtail import Contributor, MixtureSpec, check_unique_ids, make_contributors
 from .ntk import MLPSpec, Model, _check_batch, backprop, init_params
 from .ntk import layer_outputs, ntk_gram
-from .valuation import ValuationScore, empirical_loss, mixture_loss
+from .valuation import ValuationScore, _map_contributors, empirical_loss, mixture_loss
 
 log = logging.getLogger(__name__)
 
@@ -195,11 +195,6 @@ def train_ground_truth(
     correlations; their epoch counts cover the restarts up to the one
     that diverged.
     """
-    if not contributors:
-        raise DomainError("need at least one contributor")
-    check_unique_ids((c.id for c in contributors), "contributors")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     digest = config.digest()
 
     def one(c: Contributor) -> GroundTruth:
@@ -218,10 +213,7 @@ def train_ground_truth(
             metrics.append(_metric(result.model, test_x, test_y, config.metric))
         return GroundTruth(c.id, float(np.mean(metrics)), digest, False, epochs, converged)
 
-    if workers == 1:
-        return [one(c) for c in contributors]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, contributors))
+    return _map_contributors(one, contributors, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +298,19 @@ class MethodEvaluation:
     """Correlations of a score against ground truth in both orientations.
 
     Higher scores may mean better or worse data depending on the fitted
-    weights; best_orientation is the sign under which the rank
-    correlation comes out nonnegative.
+    weights; ``negative`` is ``positive`` flipped, and best_orientation is
+    the sign under which the rank correlation comes out nonnegative.
     """
 
     positive: CorrelationReport
-    negative: CorrelationReport
-    best_orientation: int
+
+    @cached_property
+    def negative(self) -> CorrelationReport:
+        return self.positive.flipped()
+
+    @property
+    def best_orientation(self) -> int:
+        return 1 if self.positive.spearman >= 0 else -1
 
     @property
     def best(self) -> CorrelationReport:
@@ -349,10 +347,7 @@ def evaluate_method(
     v = np.array([a for a, _ in aligned])
     g = np.array([b for _, b in aligned])
     positive = CorrelationReport(pearson(v, g), spearman(v, g), kendall(v, g), len(v))
-    orientation = 1 if positive.spearman >= 0 else -1
-    return MethodEvaluation(
-        positive=positive, negative=positive.flipped(), best_orientation=orientation
-    )
+    return MethodEvaluation(positive)
 
 
 def loss_only_scores(

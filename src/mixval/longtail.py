@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import numbers
 import os
 import uuid
 from collections import Counter
@@ -30,6 +32,20 @@ _SAMPLE_STREAM = 2
 _GOLDEN = 0.6180339887498949  # frac(golden ratio), spreads labels over [0, 1)
 
 
+def _check_law(beta: float, **sizes: int) -> None:
+    # The rules of a power law, full or truncated, and so of ScalingParams: 1 < beta < inf,
+    # and integer sizes (not bools), checked before 1 <= each size <= the next one.
+    if not 1 < beta < math.inf:
+        raise DomainError(f"beta must be finite and > 1, got {beta}")
+    got = ", ".join(f"{name}={v!r}" for name, v in sizes.items())
+    values = tuple(sizes.values())
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+        raise DomainError(f"support sizes must be integers, got {got}")
+    bounds = (1, *values)
+    if not all(lo <= hi for lo, hi in zip(bounds, bounds[1:])):
+        raise DomainError(f"need 1 <= {' <= '.join(sizes)}, got {got}")
+
+
 @dataclass(frozen=True)
 class PowerLawSpec:
     """Zipf-like distribution p_i proportional to i**(-beta) on 1..support_max."""
@@ -38,10 +54,7 @@ class PowerLawSpec:
     support_max: int
 
     def __post_init__(self) -> None:
-        if not self.beta > 1:
-            raise DomainError(f"beta must be > 1, got {self.beta}")
-        if self.support_max < 1:
-            raise DomainError(f"support_max must be >= 1, got {self.support_max}")
+        _check_law(self.beta, support_max=self.support_max)
 
     def probabilities(self) -> np.ndarray:
         """Full pmf over indices 1..support_max (position 0 is index 1)."""
@@ -58,14 +71,7 @@ class TruncatedPowerLawSpec:
     support_max: int
 
     def __post_init__(self) -> None:
-        if not self.beta > 1:
-            raise DomainError(f"beta must be > 1, got {self.beta}")
-        if self.cutoff < 1:
-            raise DomainError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.support_max < self.cutoff:
-            raise DomainError(
-                f"support_max ({self.support_max}) must be >= cutoff ({self.cutoff})"
-            )
+        _check_law(self.beta, cutoff=self.cutoff, support_max=self.support_max)
 
     def probabilities(self) -> np.ndarray:
         raw = np.zeros(self.support_max)

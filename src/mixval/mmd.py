@@ -36,6 +36,7 @@ _DEFAULT_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 _BLOCK_ENTRIES = 1 << 16
 # squarings allowed since the last exp: the default bank's chain 2^2 x 4
 _MAX_SQUARINGS = 8
+_ESTIMATORS = ("biased", "unbiased")  # V-statistic, U-statistic
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ class MultiKernelSpec:
 class DistanceBlocks:
     """Squared Euclidean distances within X (xx), within Y (yy) and between (xy).
 
-    xx and yy must be exactly symmetric, as ``sq_distances`` makes them.
+    xx and yy must be exactly symmetric with a zero diagonal, as
+    ``sq_distances`` makes them: ``mmd`` counts each self-pair as exactly 1.
     """
 
     xx: np.ndarray
@@ -202,6 +204,8 @@ def _blocks_for(x: np.ndarray, y: np.ndarray, blocks: DistanceBlocks | None) -> 
     nx, ny = len(x), len(y)
     if (blocks.xx.shape, blocks.yy.shape, blocks.xy.shape) != ((nx, nx), (ny, ny), (nx, ny)):
         raise DomainError("distance blocks do not match the sample sets")
+    if np.diagonal(blocks.xx).any() or np.diagonal(blocks.yy).any():
+        raise DomainError("distance blocks xx and yy must have a zero diagonal")
     return blocks
 
 
@@ -235,22 +239,18 @@ def _bank_steps(spec: MultiKernelSpec) -> list[tuple[int, float, int | None]]:
     return steps
 
 
-def _kernel_totals(
-    d: np.ndarray, steps: list[tuple[int, float, int | None]], offdiag: bool
-) -> list[float]:
-    # Sum of each kernel's values over one distance block, without the
-    # diagonal when ``offdiag``, in kernel order.  Row blocks of at most
-    # _BLOCK_ENTRIES entries go through the whole bank in one buffer; each
-    # row is reduced on its own, so its sum does not depend on the block
-    # size, and each total is the fsum of its row sums (minus the fsum of
-    # the diagonal), so it does not depend on the row order either.
+def _kernel_totals(d: np.ndarray, steps: list[tuple[int, float, int | None]]) -> list[float]:
+    # Sum of each kernel's values over one distance block, in kernel order.
+    # Row blocks of at most _BLOCK_ENTRIES entries go through the whole
+    # bank in one buffer; each row is reduced on its own, so its sum does
+    # not depend on the block size, and each total is the fsum of its row
+    # sums, so it does not depend on the row order either.
     # d / -(2 bw^2) is bit-identical to -d / (2 bw^2), since IEEE division
     # is sign-symmetric.
     rows, cols = d.shape
     step = max(1, _BLOCK_ENTRIES // cols)
     buf = np.empty((min(step, rows), cols))
     row_sums = np.empty((len(steps), rows))
-    diag = np.empty((len(steps), rows)) if offdiag else None
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
         k = buf[: r1 - r0]
@@ -262,14 +262,9 @@ def _kernel_totals(
                 for _ in range(squarings):
                     np.square(k, out=k)
             np.add.reduce(k, axis=1, out=row_sums[j, r0:r1])
-            if diag is not None:
-                # entry (r, r0 + r) of the row block, for r < r1 - r0
-                diag[j, r0:r1] = k.reshape(-1)[r0 :: cols + 1]
     totals = [0.0] * len(steps)
     for j, (i, _, _) in enumerate(steps):
         totals[i] = math.fsum(row_sums[j].tolist())
-        if diag is not None:
-            totals[i] -= math.fsum(diag[j].tolist())
     return totals
 
 
@@ -292,7 +287,7 @@ def mmd(
     y = _as_matrix(y, "Y")
     if x.shape[1] != y.shape[1]:
         raise DomainError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
-    if estimator not in ("biased", "unbiased"):
+    if estimator not in _ESTIMATORS:
         raise DomainError(f"estimator must be 'biased' or 'unbiased', got {estimator!r}")
     minimum = 1 if estimator == "biased" else 2
     if len(x) < minimum or len(y) < minimum:
@@ -302,13 +297,15 @@ def mmd(
         )
     blocks = _blocks_for(x, y, blocks)
     steps = _bank_steps(spec)
-    offdiag = estimator == "unbiased"
-    sxx = _kernel_totals(blocks.xx, steps, offdiag)
-    syy = _kernel_totals(blocks.yy, steps, offdiag)
-    sxy = _kernel_totals(blocks.xy, steps, False)
+    sxx, syy, sxy = (_kernel_totals(d, steps) for d in (blocks.xx, blocks.yy, blocks.xy))
     nx, ny = len(x), len(y)
-    mx, my = (nx * (nx - 1), ny * (ny - 1)) if offdiag else (nx * nx, ny * ny)
-    per_kernel = [a / mx + b / my - 2.0 * (c / (nx * ny)) for a, b, c in zip(sxx, syy, sxy)]
+    # every kernel is exactly 1 on the zero diagonals of xx and yy, so the
+    # self-pairs that the unbiased form drops sum to exactly nx and ny
+    sx, sy = (nx, ny) if estimator == "unbiased" else (0, 0)
+    mx, my, mxy = nx * nx - sx, ny * ny - sy, nx * ny
+    per_kernel = [
+        (a - sx) / mx + (b - sy) / my - 2.0 * (c / mxy) for a, b, c in zip(sxx, syy, sxy)
+    ]
     squared = math.fsum(w * sq for w, sq in zip(spec.weights, per_kernel))
     return DiscrepancyEstimate(
         value=math.sqrt(max(squared, 0.0)),

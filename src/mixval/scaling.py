@@ -14,7 +14,6 @@ boundaries sit near n = k**beta and n = k**beta / pi.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,10 +36,11 @@ class ScalingParams:
         above (pi * n_max)**(1/beta) or the truncation bends the tail
         of swept curves downward inside the analysis window
 
-    Construction checks that rho and gamma map into [0, 1] and that
-    gamma(i) <= rho(i) + 1e-12 at every index without touching the
-    support: both peak at i = 1, and gamma - rho = b*i**(-lam) -
-    a*i**(-alpha) has at most one interior maximum (at
+    Construction holds beta, cutoff and support_max to the rules of the
+    mixture they describe (``mixture()``).  It checks that rho and gamma
+    map into [0, 1] and that gamma(i) <= rho(i) + 1e-12 at every index
+    without touching the support: both peak at i = 1, and gamma - rho =
+    b*i**(-lam) - a*i**(-alpha) has at most one interior maximum (at
     i* = (a*alpha / (b*lam))**(1/(alpha-lam)) when alpha > lam), so the
     endpoints and the integers around i* decide the check.  A difference
     within rounding of the slack there is settled over the whole
@@ -66,15 +66,9 @@ class ScalingParams:
             raise DomainError("alpha and lam must be >= 0")
         if not self.b >= 0:
             raise DomainError(f"b must be >= 0, got {self.b}")
-        if not self.beta > 1:
-            raise DomainError(f"beta must be > 1, got {self.beta}")
         if not 0 < self.pi <= 1:
             raise DomainError(f"pi must be in (0, 1], got {self.pi}")
-        sizes = (self.cutoff, self.support_max)
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
-            raise DomainError(f"cutoff and support_max must be integers, got {sizes}")
-        if self.cutoff < 1 or self.support_max < self.cutoff:
-            raise DomainError("need 1 <= cutoff <= support_max")
+        self.mixture()  # the generator's rules for beta, cutoff and support_max
         i = self._peak_indexes()
         rho, gam = self.rho(i), self.gamma(i)
         if rho.max() > 1.0 or gam.max() > 1.0:

@@ -23,7 +23,7 @@ import numpy as np
 from ._seeds import cap_rows, check_seed, substream
 from .errors import DomainError, MixvalError
 from .longtail import Contributor, check_unique_ids, pool_contributors
-from .mmd import _DEFAULT_SCALES, DistanceBlocks, MultiKernelSpec, mmd, sq_distances
+from .mmd import _DEFAULT_SCALES, _ESTIMATORS, DistanceBlocks, MultiKernelSpec, mmd, sq_distances
 from .ntk import Model, bound_term, ntk_gram
 
 _EXACT_SHAPLEY_MAX = 12
@@ -116,7 +116,7 @@ class ValuationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.estimator not in ("biased", "unbiased"):
+        if self.estimator not in _ESTIMATORS:
             raise DomainError(f"estimator must be biased or unbiased, got {self.estimator!r}")
         for name, cap in (
             ("ntk_cap", self.ntk_cap),
@@ -250,6 +250,21 @@ def score(
     )
 
 
+def _map_contributors(fn: Callable, contributors: Sequence[Contributor], workers: int) -> list:
+    # The one contributor fan-out, for score_all and train_ground_truth: a
+    # nonempty list with unique ids and workers >= 1, then fn over the
+    # contributors in input order, serially or on a pool of ``workers`` threads.
+    if not contributors:
+        raise DomainError("need at least one contributor")
+    check_unique_ids((c.id for c in contributors), "contributors")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
+        return [fn(c) for c in contributors]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, contributors))
+
+
 def score_all(
     contributors: Sequence[Contributor],
     test_x: np.ndarray,
@@ -267,11 +282,6 @@ def score_all(
     here, once, instead of failing every contributor, as does an id that
     repeats.
     """
-    if not contributors:
-        raise DomainError("need at least one contributor")
-    check_unique_ids((c.id for c in contributors), "contributors")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     test = _TestSet.of(test_x, config.test_cap)
 
     def one(c: Contributor) -> tuple[ValuationScore | None, str | None]:
@@ -280,13 +290,8 @@ def score_all(
         except MixvalError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    if workers == 1:
-        results = [one(c) for c in contributors]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, contributors))
     scores, failures = [], {}
-    for c, (s, err) in zip(contributors, results):
+    for c, (s, err) in zip(contributors, _map_contributors(one, contributors, workers)):
         if s is not None:
             scores.append(s)
         else:

@@ -219,6 +219,9 @@ def test_every_subcommand_runs_its_base_config(tmp_path, capsys, command):
         # keys the chosen kernel bank would ignore
         ("discrepancy", {"weights": [0.9, 0.1]}, "weights"),
         ("discrepancy", {"bandwidths": [1.0, 2.0], "scales": [1.0]}, "scales"),
+        # values of the right type outside what the subcommand can run
+        ("simulate", {"pi_grid": []}, "pi_grid"),
+        ("bench", {"n_contributors": 0}, "n_contributors"),
     ],
 )
 def test_mistyped_number_exits_2(tmp_path, capsys, command, updates, key):
@@ -265,6 +268,30 @@ def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "MIXVAL_THREADS" in err
 
 
+def test_zero_thread_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MIXVAL_THREADS", "0")
+    cfg = write_config(tmp_path, "val.json", value_payload())
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "value", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and "error[config]" in err and "MIXVAL_THREADS must be >= 1" in err
+    assert not out.exists()
+
+
+def test_value_with_every_contributor_failing_exits_3(tmp_path, capsys):
+    # one sample per part cannot feed the unbiased estimator, so each
+    # contributor fails on its own and none is left to write
+    payload = value_payload()
+    payload["estimator"] = "unbiased"
+    payload["contributors"] = {"plan": [[1, 1], [1, 1]], "feature_dim": 4}
+    cfg = write_config(tmp_path, "val.json", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "value", "--config", str(cfg), "--out", str(out))
+    assert code == 3
+    assert "error[domain]: every contributor failed to score" in err
+    assert "'c000'" in err and "'c001'" in err
+    assert not out.exists()
+
+
 def test_domain_error_exits_3(tmp_path, capsys):
     # one-row sample files cannot feed the unbiased estimator
     x = tmp_path / "x.csv"
@@ -305,6 +332,9 @@ def test_domain_error_exits_3(tmp_path, capsys):
         ("simulate", {"n_min": float("nan")}),
         ("simulate", {"n_max": float("inf")}),
         ("discrepancy", {"bandwidths": [1.0, 2.0], "weights": [float("nan"), 1.0]}),
+        # an infinite beta would make every sample knowledge index 1
+        ("value", {"contributors": {"plan": [[6, 4]], "feature_dim": 4,
+                                    "mixture": {"beta": float("inf")}}}),
     ],
 )
 def test_non_finite_value_exits_3(tmp_path, capsys, command, updates):

@@ -272,6 +272,16 @@ def test_train_ground_truth_rejects_repeated_ids():
         )
 
 
+def test_train_ground_truth_rejects_workers_below_one():
+    contributors = make_contributors([(6, 2)], small_mixture(), feature_dim=4, seed=6)
+    [t] = make_contributors([(10, 0)], small_mixture(), feature_dim=4, seed=66)
+    with pytest.raises(DomainError, match="workers must be >= 1, got 0"):
+        train_ground_truth(
+            contributors, MLPSpec(layer_widths=(4, 4, 1)), TrainingConfig(max_epochs=5),
+            t.real_x, t.real_y, workers=0,
+        )
+
+
 def test_train_ground_truth_worker_invariance():
     contributors = make_contributors(
         [(12, 6), (10, 8)], small_mixture(), feature_dim=4, seed=6

@@ -116,6 +116,31 @@ def test_spec_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "law, sizes",
+    [
+        (PowerLawSpec, (100.5,)),
+        (PowerLawSpec, (True,)),
+        (PowerLawSpec, ("100",)),
+        (TruncatedPowerLawSpec, (10.5, 100)),
+        (TruncatedPowerLawSpec, (10, np.float64(100.0))),
+        (TruncatedPowerLawSpec, (None, 100)),
+    ],
+)
+def test_spec_rejects_non_integer_sizes(law, sizes):
+    # a float support_max of 100.5 would build np.arange(1, 101.5): 101 entries
+    with pytest.raises(DomainError, match="integers"):
+        law(1.5, *sizes)
+
+
+def test_spec_accepts_numpy_integer_sizes():
+    full = PowerLawSpec(1.5, np.int64(50)).probabilities()
+    assert len(full) == 50
+    assert np.array_equal(full, PowerLawSpec(1.5, 50).probabilities())
+    head = TruncatedPowerLawSpec(1.5, np.int32(5), np.int64(50)).probabilities()
+    assert np.array_equal(head, TruncatedPowerLawSpec(1.5, 5, 50).probabilities())
+
+
 def test_pmf_scalar_lookup():
     spec = PowerLawSpec(beta=1.5, support_max=50)
     p = spec.probabilities()

@@ -1,5 +1,6 @@
 """Multi-kernel maximum mean discrepancy estimators."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -170,6 +171,22 @@ def test_mmd_reuses_given_blocks_exactly():
         median_heuristic(x, y, swapped)
     with pytest.raises(DomainError, match="do not match"):
         mmd(x, y, bank, "biased", swapped)
+
+
+@pytest.mark.parametrize("block", ["xx", "yy"])
+def test_given_blocks_need_a_zero_diagonal(block):
+    # mmd counts every self-pair as exactly 1, which holds only on a zero diagonal
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal((5, 2)), rng.standard_normal((6, 2))
+    blocks = DistanceBlocks.of(x, y)
+    bad = getattr(blocks, block).copy()
+    bad[2, 2] = 1e-300
+    broken = dataclasses.replace(blocks, **{block: bad})
+    for estimator in ("biased", "unbiased"):
+        with pytest.raises(DomainError, match="zero diagonal"):
+            mmd(x, y, single_kernel(), estimator, broken)
+    with pytest.raises(DomainError, match="zero diagonal"):
+        median_heuristic(x, y, broken)
 
 
 def test_median_bank_scales():

@@ -1,5 +1,6 @@
 """Mixture scaling oracle, phase expressions, and breakpoint detection."""
 
+import itertools
 import math
 
 import numpy as np
@@ -79,6 +80,31 @@ def test_params_reject_non_integer_sizes(sizes):
                                 pi=0.5, support_max=100), **sizes})
     ScalingParams(a=1.0, alpha=0.5, b=0.5, lam=1.0, beta=1.5, cutoff=np.int64(10), pi=0.5,
                   support_max=np.int32(100))
+
+
+def test_params_and_mixture_share_the_support_rules():
+    # ScalingParams takes its beta, cutoff and support_max rules from the
+    # mixture it describes, so both accept exactly the same triples
+    def accepts(build) -> bool:
+        try:
+            build()
+        except DomainError:
+            return False
+        return True
+
+    betas = [1.5, 1.0 + 1e-12, 1.0, 0.5, float("nan"), float("inf")]
+    cutoffs = [-1, 0, 1, 10, np.int64(10), 10.0, 10.5, True, None, 100, 101]
+    supports = [0, 1, 10, 100, np.int32(100), 100.0, False, "100"]
+    verdicts = set()
+    for beta, cutoff, support_max in itertools.product(betas, cutoffs, supports):
+        mixture = accepts(lambda: MixtureSpec.power_law(beta, cutoff, support_max))
+        params = accepts(lambda: ScalingParams(
+            a=1.0, alpha=0.5, b=0.5, lam=1.0, beta=beta, cutoff=cutoff, pi=0.5,
+            support_max=support_max,
+        ))
+        assert mixture == params, (beta, cutoff, support_max)
+        verdicts.add(params)
+    assert verdicts == {True, False}
 
 
 def full_support_accepts(a, alpha, b, lam, support_max) -> bool:

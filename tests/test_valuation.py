@@ -358,6 +358,18 @@ def test_sampled_shapley_stderr_shrinks():
     assert means[0] > 1.5 * means[1] > 2.25 * means[2]  # ~1/sqrt(P)
 
 
+def test_sampled_shapley_single_permutation_has_zero_stderr():
+    contributions = np.array([2.0, -1.0, 0.5])
+
+    def fn(coalition: frozenset[int]) -> float:
+        return float(sum(contributions[i] for i in coalition))
+
+    # an additive game: every permutation gives each player its own contribution
+    phi, stderr = sampled_shapley(3, fn, permutations=1, seed=4)
+    assert np.array_equal(phi, contributions)
+    assert np.array_equal(stderr, np.zeros(3))
+
+
 def test_sampled_shapley_validation():
     fn = table_game({frozenset(): 0.0})
     with pytest.raises(DomainError):
