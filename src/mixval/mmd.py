@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateDataError, DomainError
 
@@ -98,6 +98,9 @@ class DistanceBlocks:
 
     xx and yy must be exactly symmetric with a zero diagonal, as
     ``sq_distances`` makes them: ``mmd`` counts each self-pair as exactly 1.
+    xx may instead hold X's within-set pairs condensed, as ``sq_pairs``
+    makes them: the n(n-1)/2 entries i < j in ``pdist`` order, half the
+    square's entries and none of its diagonal.
     """
 
     xx: np.ndarray
@@ -108,7 +111,7 @@ class DistanceBlocks:
     def of(
         cls, x: np.ndarray, y: np.ndarray, xx: np.ndarray | None = None
     ) -> "DistanceBlocks":
-        """Blocks of two sample sets; ``xx`` is computed unless given."""
+        """Blocks of two sample sets; ``xx`` (square or condensed) is computed unless given."""
         x, y = _as_matrix(x, "X"), _as_matrix(y, "Y")
         if x.shape[1] != y.shape[1]:
             raise DomainError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
@@ -155,7 +158,10 @@ def median_heuristic(
     blocks = _blocks_for(x, y, blocks)
     tx, ty = (n * (n - 1) // 2 for n in (len(x), len(y)))
     d2 = np.empty(tx + ty + len(x) * len(y))  # partitioned in place below
-    _pairs_into(blocks.xx, d2[:tx])
+    if blocks.xx.ndim == 1:
+        d2[:tx] = blocks.xx
+    else:
+        _pairs_into(blocks.xx, d2[:tx])
     _pairs_into(blocks.yy, d2[tx : tx + ty])
     d2[tx + ty :] = blocks.xy.ravel()
     lo = (len(d2) - 1) // 2
@@ -174,6 +180,15 @@ def median_heuristic(
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of two 2-d arrays."""
     return cdist(a, b, metric="sqeuclidean")
+
+
+def sq_pairs(a: np.ndarray) -> np.ndarray:
+    """Condensed squared distances within the rows of a 2-d array.
+
+    The entries (i, j), i < j, in ``pdist`` order: the same bits as the
+    upper triangle of ``sq_distances(a, a)``.
+    """
+    return pdist(a, metric="sqeuclidean")
 
 
 def _pairs_into(block: np.ndarray, out: np.ndarray) -> None:
@@ -202,9 +217,10 @@ def _blocks_for(x: np.ndarray, y: np.ndarray, blocks: DistanceBlocks | None) -> 
     if blocks is None:
         return DistanceBlocks.of(x, y)
     nx, ny = len(x), len(y)
-    if (blocks.xx.shape, blocks.yy.shape, blocks.xy.shape) != ((nx, nx), (ny, ny), (nx, ny)):
+    xx = (nx * (nx - 1) // 2,) if blocks.xx.ndim == 1 else (nx, nx)
+    if (blocks.xx.shape, blocks.yy.shape, blocks.xy.shape) != (xx, (ny, ny), (nx, ny)):
         raise DomainError("distance blocks do not match the sample sets")
-    if np.diagonal(blocks.xx).any() or np.diagonal(blocks.yy).any():
+    if (blocks.xx.ndim == 2 and np.diagonal(blocks.xx).any()) or np.diagonal(blocks.yy).any():
         raise DomainError("distance blocks xx and yy must have a zero diagonal")
     return blocks
 
@@ -242,29 +258,33 @@ def _bank_steps(spec: MultiKernelSpec) -> list[tuple[int, float, int | None]]:
 def _kernel_totals(d: np.ndarray, steps: list[tuple[int, float, int | None]]) -> list[float]:
     # Sum of each kernel's values over one distance block, in kernel order.
     # Row blocks of at most _BLOCK_ENTRIES entries go through the whole
-    # bank in one buffer; each row is reduced on its own, so its sum does
-    # not depend on the block size, and each total is the fsum of its row
-    # sums, so it does not depend on the row order either.
+    # bank in one buffer; 1-d condensed pairs count as rows of
+    # _BLOCK_ENTRIES entries, the last one shorter.  Each row is reduced on
+    # its own, so a square block's sums do not depend on the row block
+    # size, and each total is the fsum of its row sums, so it does not
+    # depend on the row order either.
     # d / -(2 bw^2) is bit-identical to -d / (2 bw^2), since IEEE division
     # is sign-symmetric.
-    rows, cols = d.shape
-    step = max(1, _BLOCK_ENTRIES // cols)
-    buf = np.empty((min(step, rows), cols))
-    row_sums = np.empty((len(steps), rows))
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        k = buf[: r1 - r0]
+    if d.ndim == 1:
+        blocks = [d[i : i + _BLOCK_ENTRIES][None] for i in range(0, len(d), _BLOCK_ENTRIES)]
+    else:
+        step = max(1, _BLOCK_ENTRIES // d.shape[1])
+        blocks = [d[r : r + step] for r in range(0, len(d), step)]
+    buf = np.empty(max((b.size for b in blocks), default=0))
+    row_sums: list[list[float]] = [[] for _ in steps]
+    for block in blocks:
+        k = buf[: block.size].reshape(block.shape)
         for j, (_, divisor, squarings) in enumerate(steps):
             if squarings is None:
-                np.divide(d[r0:r1], divisor, out=k)
+                np.divide(block, divisor, out=k)
                 np.exp(k, out=k)
             else:
                 for _ in range(squarings):
                     np.square(k, out=k)
-            np.add.reduce(k, axis=1, out=row_sums[j, r0:r1])
+            row_sums[j] += np.add.reduce(k, axis=1).tolist()
     totals = [0.0] * len(steps)
     for j, (i, _, _) in enumerate(steps):
-        totals[i] = math.fsum(row_sums[j].tolist())
+        totals[i] = math.fsum(row_sums[j])
     return totals
 
 
@@ -281,7 +301,8 @@ def mmd(
     pairs and is nonnegative by construction; the unbiased (U-statistic)
     form excludes self pairs within X and within Y and needs at least
     two points per set.  ``blocks`` are those of (X, Y) when the caller
-    already holds them, as for ``median_heuristic``.
+    already holds them, as for ``median_heuristic``; condensed xx pairs
+    are summed once and counted twice.
     """
     x = _as_matrix(x, "X")
     y = _as_matrix(y, "Y")
@@ -301,6 +322,8 @@ def mmd(
     nx, ny = len(x), len(y)
     # every kernel is exactly 1 on the zero diagonals of xx and yy, so the
     # self-pairs that the unbiased form drops sum to exactly nx and ny
+    if blocks.xx.ndim == 1:
+        sxx = [2.0 * a + nx for a in sxx]
     sx, sy = (nx, ny) if estimator == "unbiased" else (0, 0)
     mx, my, mxy = nx * nx - sx, ny * ny - sy, nx * ny
     per_kernel = [

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,8 +23,8 @@ import numpy as np
 from ._seeds import cap_rows, check_seed, substream
 from .errors import DomainError, MixvalError
 from .longtail import Contributor, check_unique_ids, pool_contributors
-from .mmd import _DEFAULT_SCALES, _ESTIMATORS, DistanceBlocks, MultiKernelSpec, mmd, sq_distances
-from .ntk import Model, bound_term, ntk_gram
+from .mmd import _DEFAULT_SCALES, _ESTIMATORS, DistanceBlocks, MultiKernelSpec, mmd, sq_pairs
+from .ntk import Model, bound_term, gradients, ntk_gram
 
 _EXACT_SHAPLEY_MAX = 12
 
@@ -44,10 +44,10 @@ class ValuationWeights:
                 raise DomainError(f"weight {name} must be finite, got {w}")
 
     def as_array(self) -> np.ndarray:
-        return np.array(astuple(self))
+        return np.array(list(self.as_dict().values()))
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _weighted_total(terms: Sequence[float], weights: ValuationWeights) -> float:
@@ -142,37 +142,42 @@ def empirical_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
         raise DomainError("empirical loss of an empty dataset is undefined")
     if len(x) != len(y):
         raise DomainError(f"{len(x)} inputs vs {len(y)} labels")
-    f = model.predict(x)
+    return _half_mean_sq(model.predict(x), y)
+
+
+def _half_mean_sq(f: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((f - y) ** 2) / 2.0)
 
 
-def _parts(c: Contributor) -> list[tuple[float, np.ndarray, np.ndarray, str]]:
-    # (weight, x, y, tag) of the real and synthetic parts; an empty part
-    # has weight 0 and is left out
+def _parts(c: Contributor) -> list[tuple[float, np.ndarray, np.ndarray, str, slice]]:
+    # (weight, x, y, tag, its rows among the pooled rows) of the real and
+    # synthetic parts; an empty part has weight 0 and is left out
     return [
-        (weight, x, y, tag)
-        for weight, x, y, tag in (
-            (c.pi, c.real_x, c.real_y, "real"),
-            (1.0 - c.pi, c.synth_x, c.synth_y, "synth"),
+        part
+        for part in (
+            (c.pi, c.real_x, c.real_y, "real", slice(0, c.n_real)),
+            (1.0 - c.pi, c.synth_x, c.synth_y, "synth", slice(c.n_real, None)),
         )
-        if len(y)
+        if len(part[2])
     ]
 
 
 def mixture_loss(model: Model, contributor: Contributor) -> float:
     """Mixture-weighted loss pi * L(real) + (1 - pi) * L(synth) at the model."""
     return math.fsum(
-        weight * empirical_loss(model, x, y) for weight, x, y, _ in _parts(contributor)
+        weight * empirical_loss(model, x, y) for weight, x, y, _, _ in _parts(contributor)
     )
 
 
 @dataclass(frozen=True)
 class _TestSet:
-    """A validated test sample with its squared-distance block.
+    """A validated test sample with its within-set squared distances.
 
-    Built once per ``score_all`` or ``coalition_value_fn`` call.  When
-    ``test_cap`` fires, each part draws its own rows, so no full block
-    is held (``d2`` is None).
+    Built once per ``score_all`` or ``coalition_value_fn`` call.  ``d2``
+    holds the n(n-1)/2 distinct pairs of its n points condensed
+    (``sq_pairs``), half a square block; every part's median copies them
+    and its MMD sums them once.  When ``test_cap`` fires, each part draws
+    its own rows, so no pairs of the full set are held (``d2`` is None).
     """
 
     x: np.ndarray
@@ -185,7 +190,20 @@ class _TestSet:
             raise DomainError("test set must be a nonempty 2-d array")
         if not np.all(np.isfinite(x)):
             raise DomainError("test set must be finite")
-        return cls(x, None if cap is not None and len(x) > cap else sq_distances(x, x))
+        return cls(x, None if cap is not None and len(x) > cap else sq_pairs(x))
+
+
+@dataclass(frozen=True)
+class _ModelRows:
+    """The model's outputs and gradient rows on a contributor's pooled rows.
+
+    Rows are in pooled order (real, then synthetic); ``jtj`` is J'J of
+    the gradient rows when the caller holds it, else None.
+    """
+
+    predictions: np.ndarray
+    gradients: np.ndarray
+    jtj: np.ndarray | None
 
 
 def _part_discrepancy(
@@ -199,7 +217,7 @@ def _part_discrepancy(
     t_x = test.x[
         cap_rows(len(test.x), config.test_cap, config.seed, "value", cid, "test-cap", tag)
     ]
-    blocks = DistanceBlocks.of(t_x, part_x, test.d2)
+    blocks = DistanceBlocks.of(t_x, part_x, sq_pairs(t_x) if test.d2 is None else test.d2)
     bank = MultiKernelSpec.median_bank(t_x, part_x, config.kernel_scales, blocks)
     return mmd(t_x, part_x, bank, config.estimator, blocks).value
 
@@ -209,6 +227,8 @@ def score(
     test_x: np.ndarray | _TestSet,
     model: Model,
     config: ValuationConfig,
+    *,
+    rows: _ModelRows | None = None,
 ) -> ValuationScore:
     """Four-term value of one contributor against a test sample.
 
@@ -217,24 +237,38 @@ def score(
     tangent-kernel term uses initialization residuals on the pooled
     set; |S| in the composition term is the full, uncapped size.
     ``score_all`` and ``coalition_value_fn`` pass a test set prepared
-    once per call, so its distance block is not recomputed per score.
+    once per call, so its distance pairs are not recomputed per score.
+    ``coalition_value_fn`` also passes the model's ``rows`` on the
+    pooled data, gathered from its members', in place of a ``predict``
+    and ``gradients`` pass here.
     """
     test = test_x if isinstance(test_x, _TestSet) else _TestSet.of(test_x, config.test_cap)
     cid = contributor.id
     pi = contributor.pi
+    parts = _parts(contributor)
     try:
-        loss_term = mixture_loss(model, contributor)
+        if rows is None:
+            loss_term = mixture_loss(model, contributor)
+        else:
+            loss_term = math.fsum(
+                weight * _half_mean_sq(rows.predictions[at], y) for weight, _, y, _, at in parts
+            )
         discrepancy_term = math.fsum(
-            weight * _part_discrepancy(test, x, cid, tag, config)
-            for weight, x, _, tag in _parts(contributor)
+            weight * _part_discrepancy(test, x, cid, tag, config) for weight, x, _, tag, _ in parts
         )
 
-        pooled_x, pooled_y = contributor.pooled_x(), contributor.pooled_y()
+        pooled_y = contributor.pooled_y()
         keep = cap_rows(len(pooled_y), config.ntk_cap, config.seed, "value", cid, "ntk-cap")
-        sub_x, sub_y = pooled_x[keep], pooled_y[keep]
-        gram = ntk_gram(model.spec, model.params, sub_x)
-        residuals = sub_y - model.predict(sub_x)
-        ntk_term = bound_term(gram, residuals, config.ridge)
+        if rows is None:
+            sub_x = contributor.pooled_x()[keep]
+            gram = ntk_gram(model.spec, model.params, sub_x)
+            fitted = model.predict(sub_x)
+        else:
+            # J'J of all the rows is of no use once the cap drops some
+            jtj = rows.jtj if isinstance(keep, slice) else None
+            gram = ntk_gram(model.spec, model.params, rows=rows.gradients[keep], jtj=jtj)
+            fitted = rows.predictions[keep]
+        ntk_term = bound_term(gram, pooled_y[keep] - fitted, config.ridge)
 
         composition_term = math.sqrt(max(pi, 1.0 - pi) / contributor.n_total)
     except MixvalError as exc:
@@ -250,13 +284,18 @@ def score(
     )
 
 
-def _map_contributors(fn: Callable, contributors: Sequence[Contributor], workers: int) -> list:
-    # The one contributor fan-out, for score_all and train_ground_truth: a
-    # nonempty list with unique ids and workers >= 1, then fn over the
-    # contributors in input order, serially or on a pool of ``workers`` threads.
+def _check_contributors(contributors: Sequence[Contributor]) -> None:
+    # The one rule for a list of contributors to value: nonempty, unique ids.
     if not contributors:
         raise DomainError("need at least one contributor")
     check_unique_ids((c.id for c in contributors), "contributors")
+
+
+def _map_contributors(fn: Callable, contributors: Sequence[Contributor], workers: int) -> list:
+    # The one contributor fan-out, for score_all and train_ground_truth: a
+    # checked contributor list and workers >= 1, then fn over the
+    # contributors in input order, serially or on a pool of ``workers`` threads.
+    _check_contributors(contributors)
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     if workers == 1:
@@ -412,10 +451,35 @@ def coalition_value_fn(
     """Memoized v(coalition) = score of the pooled coalition data.
 
     The empty coalition is worth 0 (the bound is vacuous on no data).
-    Pooling recomputes pi and |S| from the combined counts.  The test
-    set is checked, and its distance block built, once, here.
+    Pooling recomputes pi and |S| from the combined counts.  The
+    contributor list must be nonempty with unique ids.
+
+    What no coalition changes is built once, here: the checked test set
+    with its condensed pairs, and one pool of every contributor, from
+    which each coalition gathers its members' rows.  When the whole
+    pool fits under ``ntk_cap`` (or there is none), so that no
+    coalition's cap fires, it also holds the model's predictions and
+    gradient rows of every pooled row, from one ``predict`` and one
+    ``gradients`` call per contributor on its own rows, and, when the
+    pool has more rows than the model has parameters, each contributor's
+    J'J.  For N pooled rows, K contributors and P parameters that is
+    N*P floats of gradient rows, no more than the full coalition's
+    score builds, and K*P^2 floats of J'J.  A coalition above P then
+    sums its members' J'J instead of forming its own.
     """
+    _check_contributors(contributors)
     test = _TestSet.of(test_x, config.test_cap)
+    everyone = pool_contributors(list(contributors), id="+".join(c.id for c in contributors))
+    # each contributor's rows in everyone's real and synthetic arrays
+    real_at = np.cumsum([0] + [c.n_real for c in contributors])
+    synth_at = np.cumsum([0] + [c.n_synth for c in contributors])
+    real_rows = [np.arange(a, b) for a, b in zip(real_at, real_at[1:])]
+    synth_rows = [np.arange(a, b) for a, b in zip(synth_at, synth_at[1:])]
+    model_rows = (
+        _pooled_model_rows(contributors, everyone, real_rows, synth_rows, model)
+        if config.ntk_cap is None or everyone.n_total <= config.ntk_cap
+        else None
+    )
     cache: dict[frozenset[int], float] = {frozenset(): 0.0}
 
     def value(coalition: frozenset[int]) -> float:
@@ -423,15 +487,61 @@ def coalition_value_fn(
         if got is not None:
             return got
         members = sorted(coalition)
-        pooled = pool_contributors(
-            [contributors[i] for i in members],
+        real = np.concatenate([real_rows[i] for i in members])
+        synth = np.concatenate([synth_rows[i] for i in members])
+        pooled = Contributor(
             id="+".join(contributors[i].id for i in members),
+            real_x=everyone.real_x[real],
+            real_y=everyone.real_y[real],
+            real_idx=everyone.real_idx[real],
+            synth_x=everyone.synth_x[synth],
+            synth_y=everyone.synth_y[synth],
+            synth_idx=everyone.synth_idx[synth],
         )
-        v = score(pooled, test, model, config).total
+        rows = None
+        if model_rows is not None:
+            predictions, grads, jtjs = model_rows
+            at = np.concatenate((real, everyone.n_real + synth))
+            jtj = None
+            if len(at) > model.spec.n_params:
+                jtj = jtjs[members[0]].copy()
+                for i in members[1:]:
+                    jtj += jtjs[i]
+            rows = _ModelRows(predictions[at], grads[at], jtj)
+        v = score(pooled, test, model, config, rows=rows).total
         cache[coalition] = v
         return v
 
     return value
+
+
+def _pooled_model_rows(
+    contributors: Sequence[Contributor],
+    everyone: Contributor,
+    real_rows: list[np.ndarray],
+    synth_rows: list[np.ndarray],
+    model: Model,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    # (predictions, gradient rows) of everyone's pooled rows, from one
+    # predict and one gradients call per contributor on its own pooled
+    # rows, and each contributor's J'J (only when the pool has more rows
+    # than the model has parameters, so that some coalition uses them)
+    n_params = model.spec.n_params
+    predictions = np.empty(everyone.n_total)
+    grads = np.empty((everyone.n_total, n_params))
+    jtjs = []
+    for c, real, synth in zip(contributors, real_rows, synth_rows):
+        at = np.concatenate((real, everyone.n_real + synth))
+        x = c.pooled_x()
+        try:
+            predictions[at] = model.predict(x)
+            g = gradients(model.spec, model.params, x)
+        except MixvalError as exc:
+            raise type(exc)(f"contributor {c.id!r}: {exc}") from exc
+        grads[at] = g
+        if everyone.n_total > n_params:
+            jtjs.append(g.T @ g)  # syrk: exactly symmetric, and so is any sum of them
+    return predictions, grads, jtjs
 
 
 def exact_shapley(n: int, value_fn: ValueFn) -> np.ndarray:
@@ -528,12 +638,9 @@ def marginal_values(
 
     A contributor id that repeats is a :class:`DomainError`.
     """
-    if not contributors:
-        raise DomainError("need at least one contributor")
-    ids = tuple(c.id for c in contributors)
-    check_unique_ids(ids, "contributors")
-    n = len(contributors)
     value_fn = coalition_value_fn(contributors, test_x, model, config)
+    ids = tuple(c.id for c in contributors)
+    n = len(contributors)
     if weighting.kind == "loo":
         return MarginalReport(ids, loo_values(n, value_fn), None, "loo", 0)
     if weighting.mc_permutations == 0:

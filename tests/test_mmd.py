@@ -20,6 +20,7 @@ from mixval.mmd import (
     median_heuristic,
     mmd,
     sq_distances,
+    sq_pairs,
 )
 
 
@@ -187,6 +188,36 @@ def test_given_blocks_need_a_zero_diagonal(block):
             mmd(x, y, single_kernel(), estimator, broken)
     with pytest.raises(DomainError, match="zero diagonal"):
         median_heuristic(x, y, broken)
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 3), (9, 14), (60, 45), (300, 240), (400, 30)])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_condensed_within_x_pairs_match_the_square_block(nx, ny, duplicates):
+    # nx = 300 and 400 span several row blocks of the square xx (over 256
+    # rows) and 400 also of the condensed pairs (over 65536 entries)
+    x, y = _pair(nx, ny, 8, 0.3, nx * ny)
+    if duplicates:
+        x[: nx // 2 + 1] = x[0]
+        y[:2] = x[0]
+    square = DistanceBlocks.of(x, y)
+    condensed = DistanceBlocks.of(x, y, sq_pairs(x))
+    assert np.array_equal(condensed.xx, square.xx[np.triu_indices(nx, 1)])
+    assert median_heuristic(x, y, condensed) == median_heuristic(x, y, square)
+    bank = MultiKernelSpec.median_bank(x, y, blocks=square)
+    for estimator in ("biased", "unbiased"):
+        got = mmd(x, y, bank, estimator, condensed).squared
+        assert abs(got - mmd(x, y, bank, estimator, square).squared) <= 1e-14
+
+
+def test_condensed_pairs_of_the_wrong_length_are_rejected():
+    x, y = _pair(6, 4, 2, 0.0, 3)
+    blocks = DistanceBlocks.of(x, y, sq_pairs(x))
+    for bad in (blocks.xx[:-1], np.append(blocks.xx, 1.0), sq_pairs(y)):
+        broken = dataclasses.replace(blocks, xx=bad)
+        with pytest.raises(DomainError, match="do not match"):
+            mmd(x, y, single_kernel(), "biased", broken)
+        with pytest.raises(DomainError, match="do not match"):
+            median_heuristic(x, y, broken)
 
 
 def test_median_bank_scales():

@@ -431,6 +431,64 @@ def test_bound_term_above_parameter_count_matches_exact_solve(seed):
     assert bound_term(gram, r) == pytest.approx(want, rel=1e-11)
 
 
+def test_gram_from_held_rows_equals_gram_from_inputs():
+    # P = 16: n = 10 is held as the matrix, n = 30 as the Jacobian
+    spec = MLPSpec(layer_widths=(3, 3, 1), init_seed=1)
+    params = init_params(spec)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((30, 3))
+    for n in (10, 30):
+        held = ntk_gram(spec, params, rows=gradients(spec, params, x[:n]))
+        plain = ntk_gram(spec, params, x[:n])
+        assert held.matrix.tobytes() == plain.matrix.tobytes()
+        assert held.gradient_norm_bound == plain.gradient_norm_bound
+        assert held.trace() == plain.trace()
+        r = rng.uniform(size=n) - predict(spec, params, x[:n])
+        assert bound_term(held, r) == bound_term(plain, r)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bound_term_solves_with_the_carried_jtj(seed):
+    # J'J summed over two row blocks, as coalition_value_fn sums its
+    # members'; the term still matches the exact solve, and J'J is read,
+    # never written
+    spec = MLPSpec(layer_widths=(3, 3, 1))
+    params = init_params(spec)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((30, 3))
+    g = gradients(spec, params, x)
+    jtj = g[:12].T @ g[:12] + g[12:].T @ g[12:]
+    kept = jtj.copy()
+    gram = ntk_gram(spec, params, rows=g, jtj=jtj)
+    assert gram.jtj is jtj
+    r = rng.uniform(size=30) - predict(spec, params, x)
+    want = math.sqrt(exact_quadratic_form(g, r, default_ridge(gram)) / 30)
+    assert bound_term(gram, r) == pytest.approx(want, rel=1e-11)
+    assert np.array_equal(jtj, kept)
+    # a J'J that is not J's moves the term: the carried one is what is solved
+    assert bound_term(ntk_gram(spec, params, rows=g, jtj=2.0 * jtj), r) != bound_term(gram, r)
+
+
+def test_gram_from_rows_validation():
+    spec = MLPSpec(layer_widths=(3, 3, 1))
+    params = init_params(spec)
+    x = np.random.default_rng(6).standard_normal((20, 3))
+    g = gradients(spec, params, x)
+    with pytest.raises(DomainError, match="exactly one"):
+        ntk_gram(spec, params)
+    with pytest.raises(DomainError, match="exactly one"):
+        ntk_gram(spec, params, x, rows=g)
+    with pytest.raises(DomainError, match="need 16 per row"):
+        ntk_gram(spec, params, rows=g[:, :-1])
+    with pytest.raises(DomainError, match="16 parameters need"):
+        ntk_gram(spec, params, rows=g, jtj=np.eye(15))
+    jtj = g.T @ g
+    asymmetric = jtj + np.triu(np.full_like(jtj, 1e-12), 1)
+    for bad in (asymmetric, np.where(jtj == jtj.max(), np.inf, jtj)):
+        with pytest.raises(NumericalError, match="finite and exactly symmetric"):
+            ntk_gram(spec, params, rows=g, jtj=bad)
+
+
 def test_bound_term_above_parameter_count_needs_a_ridge():
     # J J' has rank <= P < n: singular without a ridge in either form
     spec = MLPSpec(layer_widths=(3, 3, 1))

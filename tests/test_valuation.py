@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixval import ntk, valuation
 from mixval.errors import DomainError
-from mixval.longtail import Contributor, pool_contributors
+from mixval.longtail import Contributor, make_contributors, pool_contributors
 from mixval.mmd import MultiKernelSpec, mmd
 from mixval.ntk import bound_term, ntk_gram
 from mixval.valuation import (
@@ -31,6 +32,8 @@ from mixval.valuation import (
     score_all,
     term_matrix,
 )
+
+from conftest import small_mixture
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +428,87 @@ def test_coalition_values_equal_standalone_scores(
             id="+".join(contributors_small[i].id for i in members),
         )
         assert fn(frozenset(members)) == score(pooled, test_x_small, model_small, config).total
+
+
+@pytest.fixture
+def contributors_mixed() -> list[Contributor]:
+    # 59 pooled rows, above model_small's P = 49; one contributor has no
+    # real data and one no synthetic data
+    return make_contributors(
+        [(12, 8), (0, 10), (9, 0), (12, 8)], small_mixture(), feature_dim=4, seed=11
+    )
+
+
+def each_coalition(contributors: list[Contributor]):
+    # (coalition, its pooled data) for every nonempty coalition
+    k = len(contributors)
+    for mask in range(1, 1 << k):
+        members = [i for i in range(k) if mask >> i & 1]
+        pooled = pool_contributors(
+            [contributors[i] for i in members],
+            id="+".join(contributors[i].id for i in members),
+        )
+        yield frozenset(members), pooled
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ValuationConfig(seed=3),  # rows held: the pool of 59 fits under 512
+        ValuationConfig(seed=3, ntk_cap=None),
+        ValuationConfig(seed=3, ntk_cap=20),  # below most coalitions: nothing held
+        ValuationConfig(seed=3, ntk_cap=45),  # fires on the largest coalitions only
+        ValuationConfig(seed=3, mmd_cap=6, test_cap=10),
+        ValuationConfig(seed=4, estimator="unbiased"),
+    ],
+)
+def test_coalition_values_match_plain_scores_of_pooled_data(
+    contributors_mixed, test_x_small, model_small, config
+):
+    # the value function gathers rows held once per call (and above P sums
+    # its members' J'J); each value stays within rounding of a score of
+    # the freshly pooled data
+    fn = coalition_value_fn(contributors_mixed, test_x_small, model_small, config)
+    for coalition, pooled in each_coalition(contributors_mixed):
+        want = score(pooled, test_x_small, model_small, config).total
+        assert fn(coalition) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_coalition_model_rows_are_computed_once_per_contributor(
+    monkeypatch, contributors_mixed, test_x_small, model_small
+):
+    rows = []
+    original = ntk.gradients
+
+    def counting(spec, params, x):
+        rows.append(len(x))
+        return original(spec, params, x)
+
+    monkeypatch.setattr(valuation, "gradients", counting)
+    monkeypatch.setattr(ntk, "gradients", counting)
+
+    def gradient_rows(config: ValuationConfig) -> list[int]:
+        rows.clear()
+        fn = coalition_value_fn(contributors_mixed, test_x_small, model_small, config)
+        for coalition, _ in each_coalition(contributors_mixed):
+            fn(coalition)
+        return list(rows)
+
+    assert gradient_rows(ValuationConfig(seed=3)) == [c.n_total for c in contributors_mixed]
+    # the pool exceeds the cap: every coalition takes its own pass, capped
+    assert gradient_rows(ValuationConfig(seed=3, ntk_cap=45)) == [
+        min(pooled.n_total, 45) for _, pooled in each_coalition(contributors_mixed)
+    ]
+
+
+def test_coalition_value_fn_checks_the_contributor_list(
+    contributors_small, test_x_small, model_small
+):
+    with pytest.raises(DomainError, match="at least one contributor"):
+        coalition_value_fn([], test_x_small, model_small, ValuationConfig())
+    repeated = [contributors_small[0], contributors_small[1], contributors_small[0]]
+    with pytest.raises(DomainError, match="'c000' repeats in the contributors"):
+        coalition_value_fn(repeated, test_x_small, model_small, ValuationConfig())
 
 
 def test_marginal_values_shapley_and_loo(contributors_small, test_x_small, model_small):
