@@ -674,6 +674,12 @@ _RUNNERS = {
     "evaluate": run_evaluate,
     "bench": run_bench,
 }
+# The subcommands that score, and so call scipy (cdist and pdist in mmd, the
+# Cholesky solve in ntk).  main() imports scipy for them before it reads the
+# config.  Imported later, on the first distance, scipy's long-lived objects
+# land on the heap above the freed data-generation arrays and hold it up:
+# `value` on 6 x 1500 samples then peaked at 116 MB instead of 108 MB.
+_SCORING = frozenset({"discrepancy", "gram", "value", "marginal", "bench"})
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +727,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
+    if args.subcommand in _SCORING:
+        import scipy.linalg  # noqa: F401
+        import scipy.spatial.distance  # noqa: F401
     try:
         cfg = _load_config(args.config)
         for key in ("seed", "weighting", "permutations"):  # flags override the config

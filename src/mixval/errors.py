@@ -1,10 +1,18 @@
-"""Shared exception types.
+"""Shared exception types, and the integer rule that records share.
 
 Errors fall into two families: domain errors (inputs outside an
 operation's contract) and numerical errors (a computation that cannot
 be completed reliably).  The command-line layer maps these onto
 distinct exit codes.
 """
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """Whether a size or count is an integer: a ``numbers.Integral``
+    (numpy integers too) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class MixvalError(Exception):

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._seeds import cap_rows, derive_seed, substream
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, is_integer
 from .longtail import Contributor, MixtureSpec, check_unique_ids, make_contributors
 from .ntk import MLPSpec, Model, _check_batch, backprop, init_params
 from .ntk import layer_outputs, ntk_gram
@@ -56,6 +56,9 @@ class TrainingConfig:
         # the chained comparisons are False for NaN as well as for infinities
         if not (0 < self.lr_scale < math.inf and 0 < self.lr_cap < math.inf):
             raise DomainError("learning-rate scale and cap must be finite and > 0")
+        counts = (self.max_epochs, self.eigen_cap, self.restarts)
+        if not all(map(is_integer, counts)):
+            raise DomainError(f"max_epochs, eigen_cap and restarts must be integers, got {counts}")
         if not 0 < self.tol < math.inf or self.max_epochs < 1 or self.eigen_cap < 1:
             raise DomainError("tol must be finite and > 0, max_epochs and eigen_cap >= 1")
         if self.restarts < 1:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import os
 import uuid
 from collections import Counter
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._seeds import substream
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, is_integer
 
 # substream tags under the root seed
 _PROTO_STREAM = 0
@@ -39,7 +38,7 @@ def _check_law(beta: float, **sizes: int) -> None:
         raise DomainError(f"beta must be finite and > 1, got {beta}")
     got = ", ".join(f"{name}={v!r}" for name, v in sizes.items())
     values = tuple(sizes.values())
-    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+    if not all(map(is_integer, values)):
         raise DomainError(f"support sizes must be integers, got {got}")
     bounds = (1, *values)
     if not all(lo <= hi for lo, hi in zip(bounds, bounds[1:])):

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateDataError, DomainError
 
@@ -75,8 +74,8 @@ class MultiKernelSpec:
     ) -> "MultiKernelSpec":
         """Bank from explicit bandwidths; uniform weights unless given."""
         kernels = tuple(KernelSpec(b) for b in bandwidths)
-        if weights is None:
-            weights = (1.0 / len(kernels),) * len(kernels)
+        if weights is None:  # an empty bank gets no weights, and __post_init__ rejects it
+            weights = (1.0 / len(kernels),) * len(kernels) if kernels else ()
         return cls(kernels=kernels, weights=tuple(float(w) for w in weights))
 
     @classmethod
@@ -112,9 +111,7 @@ class DistanceBlocks:
         cls, x: np.ndarray, y: np.ndarray, xx: np.ndarray | None = None
     ) -> "DistanceBlocks":
         """Blocks of two sample sets; ``xx`` (square or condensed) is computed unless given."""
-        x, y = _as_matrix(x, "X"), _as_matrix(y, "Y")
-        if x.shape[1] != y.shape[1]:
-            raise DomainError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
+        x, y = _sample_sets(x, y, "distance blocks")
         if xx is None:
             xx = sq_distances(x, x)
         return cls(xx, sq_distances(y, y), sq_distances(x, y))
@@ -150,11 +147,9 @@ def median_heuristic(
     smallest positive distance; a pooled set with no positive distance
     at all has no usable scale.
     """
-    x, y = _as_matrix(x, "X"), _as_matrix(y, "Y")
+    x, y = _sample_sets(x, y, "median heuristic")
     if len(x) + len(y) < 2:
         raise DomainError("median heuristic needs at least 2 pooled points")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError("median heuristic needs finite points")
     blocks = _blocks_for(x, y, blocks)
     tx, ty = (n * (n - 1) // 2 for n in (len(x), len(y)))
     d2 = np.empty(tx + ty + len(x) * len(y))  # partitioned in place below
@@ -177,6 +172,17 @@ def median_heuristic(
     return med
 
 
+def cdist(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """scipy's ``cdist``, loaded on the first call rather than with the package.
+
+    ``scipy.spatial`` takes about 0.4 s and 30 MB to import, which the
+    subcommands that measure no distance should not pay.
+    """
+    from scipy.spatial.distance import cdist
+
+    return cdist(a, b, metric=metric)
+
+
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of two 2-d arrays."""
     return cdist(a, b, metric="sqeuclidean")
@@ -188,6 +194,8 @@ def sq_pairs(a: np.ndarray) -> np.ndarray:
     The entries (i, j), i < j, in ``pdist`` order: the same bits as the
     upper triangle of ``sq_distances(a, a)``.
     """
+    from scipy.spatial.distance import pdist  # loaded on first use, as in ``cdist``
+
     return pdist(a, metric="sqeuclidean")
 
 
@@ -223,6 +231,16 @@ def _blocks_for(x: np.ndarray, y: np.ndarray, blocks: DistanceBlocks | None) -> 
     if (blocks.xx.ndim == 2 and np.diagonal(blocks.xx).any()) or np.diagonal(blocks.yy).any():
         raise DomainError("distance blocks xx and yy must have a zero diagonal")
     return blocks
+
+
+def _sample_sets(x: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    # X and Y as 2-d float arrays of one feature dim and finite points
+    x, y = _as_matrix(x, "X"), _as_matrix(y, "Y")
+    if x.shape[1] != y.shape[1]:
+        raise DomainError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError(f"{what} needs finite points")
+    return x, y
 
 
 def _as_matrix(v: np.ndarray, name: str) -> np.ndarray:
@@ -304,10 +322,7 @@ def mmd(
     already holds them, as for ``median_heuristic``; condensed xx pairs
     are summed once and counted twice.
     """
-    x = _as_matrix(x, "X")
-    y = _as_matrix(y, "Y")
-    if x.shape[1] != y.shape[1]:
-        raise DomainError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
+    x, y = _sample_sets(x, y, "MMD")
     if estimator not in _ESTIMATORS:
         raise DomainError(f"estimator must be 'biased' or 'unbiased', got {estimator!r}")
     minimum = 1 if estimator == "biased" else 2

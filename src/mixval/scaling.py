@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, GridError
 from .longtail import MixtureSpec
@@ -258,6 +257,8 @@ def upper_incomplete_gamma(s: float, x: float) -> float:
         raise DomainError(f"s must be > 0, got {s}")
     if not x >= 0:
         raise DomainError(f"x must be >= 0, got {x}")
+    from scipy import special  # loaded on first use: the package needs it nowhere else
+
     return float(special.gammaincc(s, x)) * math.gamma(s)
 
 

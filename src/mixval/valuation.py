@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._seeds import cap_rows, check_seed, substream
-from .errors import DomainError, MixvalError
+from .errors import DomainError, MixvalError, is_integer
 from .longtail import Contributor, check_unique_ids, pool_contributors
 from .mmd import _DEFAULT_SCALES, _ESTIMATORS, DistanceBlocks, MultiKernelSpec, mmd, sq_pairs
 from .ntk import Model, bound_term, gradients, ntk_gram
@@ -123,8 +123,8 @@ class ValuationConfig:
             ("mmd_cap", self.mmd_cap),
             ("test_cap", self.test_cap),
         ):
-            if cap is not None and cap < 2:
-                raise DomainError(f"{name} must be >= 2 or None, got {cap}")
+            if cap is not None and not (is_integer(cap) and cap >= 2):
+                raise DomainError(f"{name} must be an integer >= 2 or None, got {cap!r}")
         if not self.kernel_scales or not all(
             math.isfinite(s) and s > 0 for s in self.kernel_scales
         ):

@@ -335,6 +335,9 @@ def test_domain_error_exits_3(tmp_path, capsys):
         # an infinite beta would make every sample knowledge index 1
         ("value", {"contributors": {"plan": [[6, 4]], "feature_dim": 4,
                                     "mixture": {"beta": float("inf")}}}),
+        # an empty kernel bank has no weights to share out
+        ("discrepancy", {"bandwidths": []}),
+        ("discrepancy", {"scales": []}),
     ],
 )
 def test_non_finite_value_exits_3(tmp_path, capsys, command, updates):

@@ -78,6 +78,15 @@ def test_training_config_rejects_non_finite_values(key, value):
         TrainingConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key", ["max_epochs", "eigen_cap", "restarts"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_training_config_rejects_non_integer_counts(key, value):
+    # each passed its >= 1 check and failed later in training with a bare TypeError
+    with pytest.raises(DomainError, match="must be integers"):
+        TrainingConfig(**{key: value})
+    assert getattr(TrainingConfig(**{key: np.int64(3)}), key) == 3
+
+
 def test_ground_truth_validation():
     with pytest.raises(DomainError):
         GroundTruth("c0", 1.2, "abc")

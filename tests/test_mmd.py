@@ -97,6 +97,14 @@ def test_bank_validation():
     assert bank.weights == (1 / 3, 1 / 3, 1 / 3)
 
 
+def test_empty_bank_is_a_domain_error_on_every_path():
+    # uniform weights over no kernels divided by zero before the bank check ran
+    with pytest.raises(DomainError, match="nonempty"):
+        MultiKernelSpec.from_bandwidths([])
+    with pytest.raises(DomainError, match="nonempty"):
+        MultiKernelSpec.median_bank(np.zeros((2, 1)), np.ones((2, 1)), scales=())
+
+
 def test_median_heuristic_hand_cases():
     assert median_heuristic(np.array([0.0, 1.0]), np.array([3.0])) == 2.0
     # even pair count: distances 1, 2, 3, 4, 6, 7 average the middle two
@@ -334,6 +342,21 @@ def test_estimator_validation():
     # one point per set suffices for the biased form
     got = mmd(np.zeros((1, 2)), np.ones((1, 2)), single_kernel(), "biased")
     assert got.squared == pytest.approx(2.0 - 2.0 * math.exp(-1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("in_x", [True, False])
+def test_non_finite_points_are_rejected_by_mmd_and_the_median(bad, in_x):
+    # the same check guards both: a non-finite point has no distance
+    clean, dirty = np.zeros((2, 3)), np.full((2, 3), 1.0)
+    dirty[1, 2] = bad
+    x, y = (dirty, clean) if in_x else (clean, dirty)
+    with pytest.raises(DomainError, match="MMD needs finite points"):
+        mmd(x, y, single_kernel())
+    with pytest.raises(DomainError, match="median heuristic needs finite points"):
+        median_heuristic(x, y)
+    with pytest.raises(DomainError, match="finite points"):
+        DistanceBlocks.of(x, y)
 
 
 @settings(max_examples=25, deadline=None)

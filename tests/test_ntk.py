@@ -118,6 +118,19 @@ def test_output_scale_is_order_one_at_init():
     assert 0.3 < out.std() < 3.0
 
 
+
+@pytest.mark.parametrize("widths", [(3.5, 4, 1), (3, True, 1), (3, 4.0, 1), (3, "4", 1)])
+def test_spec_rejects_non_integer_widths(widths):
+    # True would build a 1-unit layer, 3.5 a bare numpy TypeError later
+    with pytest.raises(DomainError, match="layer widths must be integers"):
+        MLPSpec(layer_widths=widths)
+
+
+def test_spec_accepts_numpy_integer_widths():
+    spec = MLPSpec(layer_widths=(np.int64(3), np.int32(4), 1))
+    assert init_params(spec).shape == (spec.n_params,) == (21,)
+
+
 def test_batch_validation():
     spec = MLPSpec(layer_widths=(3, 1))
     params = init_params(spec)

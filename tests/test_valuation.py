@@ -65,6 +65,15 @@ def test_config_validation():
         ValuationConfig(kernel_scales=(1.0, float("nan")))
 
 
+@pytest.mark.parametrize("key", ["ntk_cap", "mmd_cap", "test_cap"])
+@pytest.mark.parametrize("value", [2.5, 4.0, True])
+def test_config_rejects_non_integer_caps(key, value):
+    # a float cap made score_all raise a bare TypeError, not a recorded failure
+    with pytest.raises(DomainError, match=f"{key} must be an integer >= 2 or None"):
+        ValuationConfig(**{key: value})
+    assert getattr(ValuationConfig(**{key: np.int64(4)}), key) == 4
+
+
 def test_score_total_is_weighted_term_sum(contributors_small, test_x_small, model_small):
     weights = ValuationWeights(0.7, 1.3, -0.25, 2.0)
     config = ValuationConfig(weights=weights, seed=4)
