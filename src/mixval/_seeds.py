@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 
 
 def _as_key(part: int | str) -> int:
@@ -22,7 +22,10 @@ def _as_key(part: int | str) -> int:
 
 
 def check_seed(seed: int) -> None:
-    """Reject a root seed that ``SeedSequence`` cannot take: a negative one."""
+    """Reject a root seed that ``SeedSequence`` cannot take: a negative
+    one, or one that is not an integer (``errors.is_integer``)."""
+    if not is_integer(seed):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
 

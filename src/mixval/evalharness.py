@@ -67,8 +67,13 @@ class TrainingConfig:
             raise DomainError(f"metric must be one of {_METRICS}, got {self.metric!r}")
 
     def digest(self) -> str:
-        """Twelve hex digits of the sha256 of the field values, in field order."""
-        return hashlib.sha256(repr(astuple(self)).encode()).hexdigest()[:12]
+        """Twelve hex digits of the sha256 of the field values, in field
+        order, as Python numbers: a numpy scalar hashes as its equal value."""
+        values = tuple(
+            int(v) if is_integer(v) else float(v) if isinstance(v, float) else v
+            for v in astuple(self)
+        )
+        return hashlib.sha256(repr(values).encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

@@ -318,8 +318,12 @@ def default_ridge(gram: NTKGram) -> float:
 
 
 def _condition(gram: NTKGram, ridge: float) -> float:
-    # for error messages only: the solve overwrites its ridged copy
-    return float(np.linalg.cond(gram.matrix + ridge * np.eye(gram.n)))
+    # for error messages only, of the system that was solved (the solve
+    # overwrites its ridged copy): K + ridge I when the Gram holds K, else
+    # J'J + ridge I, so that no n x n product is formed above P
+    j = gram.jacobian
+    a = gram.matrix if j is None else j.T @ j if gram.jtj is None else gram.jtj
+    return float(np.linalg.cond(a + ridge * np.eye(len(a))))
 
 
 def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -381,13 +385,15 @@ def bound_term(
             f"Gram system singular after ridge 0: rank <= {j.shape[1]} parameters "
             f"< {gram.n} points"
         )
+    # a form that overflows is reported below as a NumericalError, not a warning
     try:
-        if j is None:
-            a = gram.matrix.copy(order="F")  # Fortran order: cho_factor works in place
-            a.flat[:: gram.n + 1] += ridge
-            quad = float(r @ _cholesky_solve(a, r))
-        else:
-            quad = _push_through(j, r, ridge, gram.jtj)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if j is None:
+                a = gram.matrix.copy(order="F")  # Fortran order: cho_factor works in place
+                a.flat[:: gram.n + 1] += ridge
+                quad = float(r @ _cholesky_solve(a, r))
+            else:
+                quad = _push_through(j, r, ridge, gram.jtj)
     except np.linalg.LinAlgError as exc:  # scipy.linalg raises this class too
         raise NumericalError(
             f"Gram system singular after ridge {ridge:g} "

@@ -24,7 +24,7 @@ from ._seeds import cap_rows, check_seed, substream
 from .errors import DomainError, MixvalError, is_integer
 from .longtail import Contributor, check_unique_ids, pool_contributors
 from .mmd import _DEFAULT_SCALES, _ESTIMATORS, DistanceBlocks, MultiKernelSpec, mmd, sq_pairs
-from .ntk import Model, bound_term, gradients, ntk_gram
+from .ntk import Model, NTKGram, bound_term, gradients, ntk_gram
 
 _EXACT_SHAPLEY_MAX = 12
 
@@ -162,11 +162,19 @@ def _parts(c: Contributor) -> list[tuple[float, np.ndarray, np.ndarray, str, sli
     ]
 
 
+def _predictions(model: Model, c: Contributor) -> np.ndarray:
+    # the model's outputs on the pooled rows, from one predict per nonempty part
+    return np.concatenate([model.predict(x) for _, x, _, _, _ in _parts(c)])
+
+
+def _loss_term(c: Contributor, predictions: np.ndarray) -> float:
+    # the one loss rule, read from the model's outputs on the pooled rows
+    return math.fsum(w * _half_mean_sq(predictions[at], y) for w, _, y, _, at in _parts(c))
+
+
 def mixture_loss(model: Model, contributor: Contributor) -> float:
     """Mixture-weighted loss pi * L(real) + (1 - pi) * L(synth) at the model."""
-    return math.fsum(
-        weight * empirical_loss(model, x, y) for weight, x, y, _, _ in _parts(contributor)
-    )
+    return _loss_term(contributor, _predictions(model, contributor))
 
 
 @dataclass(frozen=True)
@@ -195,15 +203,21 @@ class _TestSet:
 
 @dataclass(frozen=True)
 class _ModelRows:
-    """The model's outputs and gradient rows on a contributor's pooled rows.
-
-    Rows are in pooled order (real, then synthetic); ``jtj`` is J'J of
-    the gradient rows when the caller holds it, else None.
+    """The model's outputs on every pooled row (real, then synthetic) and
+    the NTK Gram of the rows that ``ntk_cap`` keeps: all that the loss and
+    tangent-kernel terms read.  ``of`` is the one builder from the model.
+    The record holds the Gram, not the gradient rows: at n <= P, J (n x P)
+    dies inside ``ntk_gram`` rather than living on through ``bound_term``.
     """
 
     predictions: np.ndarray
-    gradients: np.ndarray
-    jtj: np.ndarray | None
+    gram: NTKGram
+
+    @classmethod
+    def of(cls, model: Model, contributor: Contributor, keep: np.ndarray | slice) -> "_ModelRows":
+        # Gram first: predicting first peaked 3.6 MB higher on the value-wide benchmark
+        gram = ntk_gram(model.spec, model.params, contributor.pooled_x()[keep])
+        return cls(_predictions(model, contributor), gram)
 
 
 def _part_discrepancy(
@@ -238,38 +252,25 @@ def score(
     set; |S| in the composition term is the full, uncapped size.
     ``score_all`` and ``coalition_value_fn`` pass a test set prepared
     once per call, so its distance pairs are not recomputed per score.
-    ``coalition_value_fn`` also passes the model's ``rows`` on the
-    pooled data, gathered from its members', in place of a ``predict``
-    and ``gradients`` pass here.
+    The loss and tangent-kernel terms read ``rows`` (``_ModelRows``):
+    ``coalition_value_fn`` gathers them from its members' rows; otherwise
+    ``_ModelRows.of`` builds them here, after the discrepancy term, so that
+    the gradient rows are never alive next to its distance blocks.
     """
     test = test_x if isinstance(test_x, _TestSet) else _TestSet.of(test_x, config.test_cap)
     cid = contributor.id
     pi = contributor.pi
-    parts = _parts(contributor)
     try:
-        if rows is None:
-            loss_term = mixture_loss(model, contributor)
-        else:
-            loss_term = math.fsum(
-                weight * _half_mean_sq(rows.predictions[at], y) for weight, _, y, _, at in parts
-            )
         discrepancy_term = math.fsum(
-            weight * _part_discrepancy(test, x, cid, tag, config) for weight, x, _, tag, _ in parts
+            weight * _part_discrepancy(test, x, cid, tag, config)
+            for weight, x, _, tag, _ in _parts(contributor)
         )
-
-        pooled_y = contributor.pooled_y()
-        keep = cap_rows(len(pooled_y), config.ntk_cap, config.seed, "value", cid, "ntk-cap")
+        keep = cap_rows(contributor.n_total, config.ntk_cap, config.seed, "value", cid, "ntk-cap")
         if rows is None:
-            sub_x = contributor.pooled_x()[keep]
-            gram = ntk_gram(model.spec, model.params, sub_x)
-            fitted = model.predict(sub_x)
-        else:
-            # J'J of all the rows is of no use once the cap drops some
-            jtj = rows.jtj if isinstance(keep, slice) else None
-            gram = ntk_gram(model.spec, model.params, rows=rows.gradients[keep], jtj=jtj)
-            fitted = rows.predictions[keep]
-        ntk_term = bound_term(gram, pooled_y[keep] - fitted, config.ridge)
-
+            rows = _ModelRows.of(model, contributor, keep)
+        loss_term = _loss_term(contributor, rows.predictions)
+        residuals = contributor.pooled_y()[keep] - rows.predictions[keep]
+        ntk_term = bound_term(rows.gram, residuals, config.ridge)
         composition_term = math.sqrt(max(pi, 1.0 - pi) / contributor.n_total)
     except MixvalError as exc:
         raise type(exc)(f"contributor {cid!r}: {exc}") from exc
@@ -280,7 +281,7 @@ def score(
         ntk_term,
         composition_term,
         config.weights,
-        gradient_norm_bound=gram.gradient_norm_bound,
+        gradient_norm_bound=rows.gram.gradient_norm_bound,
     )
 
 
@@ -507,7 +508,8 @@ def coalition_value_fn(
                 jtj = jtjs[members[0]].copy()
                 for i in members[1:]:
                     jtj += jtjs[i]
-            rows = _ModelRows(predictions[at], grads[at], jtj)
+            gram = ntk_gram(model.spec, model.params, rows=grads[at], jtj=jtj)
+            rows = _ModelRows(predictions[at], gram)
         v = score(pooled, test, model, config, rows=rows).total
         cache[coalition] = v
         return v

@@ -87,6 +87,16 @@ def test_training_config_rejects_non_integer_counts(key, value):
     assert getattr(TrainingConfig(**{key: np.int64(3)}), key) == 3
 
 
+@pytest.mark.parametrize(
+    "numpy_field",
+    [{"max_epochs": np.int64(5000)}, {"lr_scale": np.float64(0.1)}, {"seed": np.int64(0)}],
+    ids=["max_epochs", "lr_scale", "seed"],
+)
+def test_training_config_digest_hashes_numpy_scalars_as_python_numbers(numpy_field):
+    # equal configs give equal config_digest columns, whatever the scalar type
+    assert TrainingConfig(**numpy_field).digest() == TrainingConfig().digest() == "9373e3c48c97"
+
+
 def test_ground_truth_validation():
     with pytest.raises(DomainError):
         GroundTruth("c0", 1.2, "abc")

@@ -1,6 +1,7 @@
 """Tangent-kernel gradients, Gram matrices, and the bound term."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -511,3 +512,23 @@ def test_bound_term_above_parameter_count_needs_a_ridge():
     with pytest.raises(NumericalError, match="singular after ridge 0"):
         bound_term(gram, np.ones(30), ridge=0.0)
     assert bound_term(gram, np.zeros(30)) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_bound_term_failure_above_parameter_count_reports_the_solved_system():
+    # 40 rows at P = 19 whose last three features are zero, so J'J is
+    # singular, and a subnormal ridge: the form overflows.  The error names
+    # the condition number of J'J + ridge I, the P x P system solved, with
+    # no n x n product formed and no overflow warning escaping first.
+    spec = MLPSpec(layer_widths=(4, 3, 1))
+    params = init_params(spec)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 4))
+    x[:, 1:] = 0.0
+    gram = ntk_gram(spec, params, x)
+    assert gram.jacobian is not None
+    g = gradients(spec, params, x)
+    want = f"{np.linalg.cond(g.T @ g + 5e-324 * np.eye(19)):.3e}"
+    with pytest.raises(NumericalError, match=f"condition number ~ {re.escape(want)}"):
+        bound_term(gram, 0.1 * rng.standard_normal(40), ridge=5e-324)
+    assert gram._matrix is None

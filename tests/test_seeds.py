@@ -40,3 +40,23 @@ def test_streams_are_the_seed_sequence_of_their_path():
 def test_negative_seed_is_a_domain_error(call):
     with pytest.raises(DomainError, match=r"seed must be >= 0, got -1"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ValuationConfig(seed=2.5),
+        lambda: init_params(MLPSpec((3, 4, 1), init_seed=1.5)),
+        lambda: substream(np.float64(3.0), "x"),
+        lambda: derive_seed(True, "x"),
+    ],
+    ids=["ValuationConfig", "init_params", "substream", "derive_seed"],
+)
+def test_non_integer_seed_is_a_domain_error(call):
+    # SeedSequence took none of these: each failed later with a bare TypeError
+    with pytest.raises(DomainError, match=r"seed must be an integer, got"):
+        call()
+
+
+def test_numpy_integer_seed_is_the_equal_python_seed():
+    assert substream(np.int64(3), "x").random(3).tolist() == substream(3, "x").random(3).tolist()

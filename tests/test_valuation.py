@@ -510,6 +510,63 @@ def test_coalition_model_rows_are_computed_once_per_contributor(
     ]
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        ValuationConfig(seed=3, ntk_cap=8),  # fires on every contributor
+        ValuationConfig(seed=3, ntk_cap=8, mmd_cap=6, test_cap=10),
+    ],
+)
+def test_fresh_score_predicts_once_per_part_and_on_no_other_rows(
+    monkeypatch, contributors_mixed, test_x_small, model_small, config
+):
+    # the loss and tangent-kernel terms read one record of predictions:
+    # the residuals on the rows ntk_cap keeps come from it, not another pass
+    inputs = []
+    original = ntk.predict
+
+    def recording(spec, params, x):
+        inputs.append(x)
+        return original(spec, params, x)
+
+    monkeypatch.setattr(ntk, "predict", recording)
+    for c in contributors_mixed:
+        inputs.clear()
+        score(c, test_x_small, model_small, config)
+        parts = [x for x in (c.real_x, c.synth_x) if len(x)]
+        assert len(inputs) == len(parts)
+        assert all(np.array_equal(got, x) for got, x in zip(inputs, parts))
+
+
+@pytest.mark.parametrize(
+    "config", [ValuationConfig(seed=3, ntk_cap=8), ValuationConfig(seed=3, ntk_cap=None)]
+)
+def test_fresh_score_runs_the_model_after_every_mmd(
+    monkeypatch, contributors_mixed, test_x_small, model_small, config
+):
+    # the model's record is built after the discrepancy term, so the
+    # gradient rows are never alive next to its distance blocks
+    events = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    recording(valuation, "mmd")
+    recording(ntk, "predict")
+    recording(ntk, "gradients")
+    for c in contributors_mixed:
+        events.clear()
+        score(c, test_x_small, model_small, config)
+        n_parts = (c.n_real > 0) + (c.n_synth > 0)
+        assert events == ["mmd"] * n_parts + ["gradients"] + ["predict"] * n_parts
+
+
 def test_coalition_value_fn_checks_the_contributor_list(
     contributors_small, test_x_small, model_small
 ):
