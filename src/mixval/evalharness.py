@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._seeds import cap_rows, derive_seed, substream
+from ._seeds import cap_rows, check_seed, derive_seed, substream
 from .errors import DegenerateDataError, DomainError, is_integer
 from .longtail import Contributor, MixtureSpec, check_unique_ids, make_contributors
 from .ntk import MLPSpec, Model, _check_batch, backprop, init_params
@@ -65,6 +65,7 @@ class TrainingConfig:
             raise DomainError(f"restarts must be >= 1, got {self.restarts}")
         if self.metric not in _METRICS:
             raise DomainError(f"metric must be one of {_METRICS}, got {self.metric!r}")
+        check_seed(self.seed)
 
     def digest(self) -> str:
         """Twelve hex digits of the sha256 of the field values, in field

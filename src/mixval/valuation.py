@@ -253,7 +253,7 @@ def score(
     ``score_all`` and ``coalition_value_fn`` pass a test set prepared
     once per call, so its distance pairs are not recomputed per score.
     The loss and tangent-kernel terms read ``rows`` (``_ModelRows``):
-    ``coalition_value_fn`` gathers them from its members' rows; otherwise
+    ``coalition_value_fn`` joins them from its members' held rows; otherwise
     ``_ModelRows.of`` builds them here, after the discrepancy term, so that
     the gradient rows are never alive next to its distance blocks.
     """
@@ -294,9 +294,11 @@ def _check_contributors(contributors: Sequence[Contributor]) -> None:
 
 def _map_contributors(fn: Callable, contributors: Sequence[Contributor], workers: int) -> list:
     # The one contributor fan-out, for score_all and train_ground_truth: a
-    # checked contributor list and workers >= 1, then fn over the
+    # checked contributor list and an integer workers >= 1, then fn over the
     # contributors in input order, serially or on a pool of ``workers`` threads.
     _check_contributors(contributors)
+    if not is_integer(workers):
+        raise DomainError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     if workers == 1:
@@ -432,8 +434,10 @@ class CoalitionWeighting:
     def __post_init__(self) -> None:
         if self.kind not in ("shapley", "loo"):
             raise DomainError(f"kind must be 'shapley' or 'loo', got {self.kind!r}")
-        if self.mc_permutations < 0:
-            raise DomainError("mc_permutations must be >= 0")
+        if not (is_integer(self.mc_permutations) and self.mc_permutations >= 0):
+            raise DomainError(
+                f"mc_permutations must be an integer >= 0, got {self.mc_permutations!r}"
+            )
         if self.kind == "loo" and self.mc_permutations:
             raise DomainError(
                 f"kind 'loo' takes no permutation budget, got {self.mc_permutations}"
@@ -452,33 +456,29 @@ def coalition_value_fn(
     """Memoized v(coalition) = score of the pooled coalition data.
 
     The empty coalition is worth 0 (the bound is vacuous on no data).
-    Pooling recomputes pi and |S| from the combined counts.  The
-    contributor list must be nonempty with unique ids.
+    Each coalition pools its own members (``pool_contributors``, ids
+    joined by "+"), which recomputes pi and |S| from the combined
+    counts.  The contributor list must be nonempty with unique ids.
 
     What no coalition changes is built once, here: the checked test set
-    with its condensed pairs, and one pool of every contributor, from
-    which each coalition gathers its members' rows.  When the whole
-    pool fits under ``ntk_cap`` (or there is none), so that no
-    coalition's cap fires, it also holds the model's predictions and
-    gradient rows of every pooled row, from one ``predict`` and one
-    ``gradients`` call per contributor on its own rows, and, when the
-    pool has more rows than the model has parameters, each contributor's
-    J'J.  For N pooled rows, K contributors and P parameters that is
-    N*P floats of gradient rows, no more than the full coalition's
-    score builds, and K*P^2 floats of J'J.  A coalition above P then
-    sums its members' J'J instead of forming its own.
+    with its condensed pairs and, when the pool of every contributor
+    fits under ``ntk_cap`` (or there is none), so that no coalition's
+    cap fires, each contributor's model rows: the predictions and
+    gradient rows of its pooled rows, from one ``predict`` and one
+    ``gradients`` call on them, and, when the pool has more rows than
+    the model has parameters, its J'J.  For N pooled rows, K
+    contributors and P parameters that is N*P floats of gradient rows,
+    no more than the full coalition's score builds, and K*P^2 floats of
+    J'J.  A coalition takes its members' real rows, then their synthetic
+    rows (the pooled order), and above P sums its members' J'J instead
+    of forming its own.
     """
     _check_contributors(contributors)
     test = _TestSet.of(test_x, config.test_cap)
-    everyone = pool_contributors(list(contributors), id="+".join(c.id for c in contributors))
-    # each contributor's rows in everyone's real and synthetic arrays
-    real_at = np.cumsum([0] + [c.n_real for c in contributors])
-    synth_at = np.cumsum([0] + [c.n_synth for c in contributors])
-    real_rows = [np.arange(a, b) for a, b in zip(real_at, real_at[1:])]
-    synth_rows = [np.arange(a, b) for a, b in zip(synth_at, synth_at[1:])]
-    model_rows = (
-        _pooled_model_rows(contributors, everyone, real_rows, synth_rows, model)
-        if config.ntk_cap is None or everyone.n_total <= config.ntk_cap
+    n_total = sum(c.n_total for c in contributors)
+    held = (
+        [_held_rows(c, model, with_jtj=n_total > model.spec.n_params) for c in contributors]
+        if config.ntk_cap is None or n_total <= config.ntk_cap
         else None
     )
     cache: dict[frozenset[int], float] = {frozenset(): 0.0}
@@ -488,28 +488,10 @@ def coalition_value_fn(
         if got is not None:
             return got
         members = sorted(coalition)
-        real = np.concatenate([real_rows[i] for i in members])
-        synth = np.concatenate([synth_rows[i] for i in members])
-        pooled = Contributor(
-            id="+".join(contributors[i].id for i in members),
-            real_x=everyone.real_x[real],
-            real_y=everyone.real_y[real],
-            real_idx=everyone.real_idx[real],
-            synth_x=everyone.synth_x[synth],
-            synth_y=everyone.synth_y[synth],
-            synth_idx=everyone.synth_idx[synth],
+        pooled = pool_contributors(
+            [contributors[i] for i in members], id="+".join(contributors[i].id for i in members)
         )
-        rows = None
-        if model_rows is not None:
-            predictions, grads, jtjs = model_rows
-            at = np.concatenate((real, everyone.n_real + synth))
-            jtj = None
-            if len(at) > model.spec.n_params:
-                jtj = jtjs[members[0]].copy()
-                for i in members[1:]:
-                    jtj += jtjs[i]
-            gram = ntk_gram(model.spec, model.params, rows=grads[at], jtj=jtj)
-            rows = _ModelRows(predictions[at], gram)
+        rows = None if held is None else _coalition_rows([held[i] for i in members], model)
         v = score(pooled, test, model, config, rows=rows).total
         cache[coalition] = v
         return v
@@ -517,33 +499,32 @@ def coalition_value_fn(
     return value
 
 
-def _pooled_model_rows(
-    contributors: Sequence[Contributor],
-    everyone: Contributor,
-    real_rows: list[np.ndarray],
-    synth_rows: list[np.ndarray],
-    model: Model,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    # (predictions, gradient rows) of everyone's pooled rows, from one
-    # predict and one gradients call per contributor on its own pooled
-    # rows, and each contributor's J'J (only when the pool has more rows
-    # than the model has parameters, so that some coalition uses them)
-    n_params = model.spec.n_params
-    predictions = np.empty(everyone.n_total)
-    grads = np.empty((everyone.n_total, n_params))
-    jtjs = []
-    for c, real, synth in zip(contributors, real_rows, synth_rows):
-        at = np.concatenate((real, everyone.n_real + synth))
-        x = c.pooled_x()
-        try:
-            predictions[at] = model.predict(x)
-            g = gradients(model.spec, model.params, x)
-        except MixvalError as exc:
-            raise type(exc)(f"contributor {c.id!r}: {exc}") from exc
-        grads[at] = g
-        if everyone.n_total > n_params:
-            jtjs.append(g.T @ g)  # syrk: exactly symmetric, and so is any sum of them
-    return predictions, grads, jtjs
+def _held_rows(
+    c: Contributor, model: Model, with_jtj: bool
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
+    # (n_real, predictions, gradient rows, J'J or None) of one contributor's
+    # pooled rows, from one predict and one gradients call on them
+    x = c.pooled_x()
+    try:
+        predictions = model.predict(x)
+        g = gradients(model.spec, model.params, x)
+    except MixvalError as exc:
+        raise type(exc)(f"contributor {c.id!r}: {exc}") from exc
+    jtj = g.T @ g if with_jtj else None  # syrk: exactly symmetric, and so is any sum of them
+    return c.n_real, predictions, g, jtj
+
+
+def _coalition_rows(held: list[tuple], model: Model) -> _ModelRows:
+    # the members' real rows, then their synthetic rows: the pooled order
+    parts = [(p[:n], g[:n]) for n, p, g, _ in held] + [(p[n:], g[n:]) for n, p, g, _ in held]
+    grads = np.concatenate([g for _, g in parts])
+    jtj = None
+    if len(grads) > model.spec.n_params:
+        jtj = held[0][3].copy()
+        for *_, other in held[1:]:
+            jtj += other
+    gram = ntk_gram(model.spec, model.params, rows=grads, jtj=jtj)
+    return _ModelRows(np.concatenate([p for p, _ in parts]), gram)
 
 
 def exact_shapley(n: int, value_fn: ValueFn) -> np.ndarray:
@@ -579,8 +560,10 @@ def sampled_shapley(
     """Unbiased permutation-sampling Shapley estimate with standard errors."""
     if n < 1:
         raise DomainError("need at least one contributor")
-    if permutations < 1:
-        raise DomainError("permutation sampling needs mc_permutations >= 1")
+    if not (is_integer(permutations) and permutations >= 1):
+        raise DomainError(
+            f"permutation sampling needs an integer mc_permutations >= 1, got {permutations!r}"
+        )
     rng = substream(seed, "shapley-perm")
     marginals = np.zeros((permutations, n))
     for p in range(permutations):

@@ -87,6 +87,13 @@ def test_training_config_rejects_non_integer_counts(key, value):
     assert getattr(TrainingConfig(**{key: np.int64(3)}), key) == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_training_config_rejects_a_seed_substream_cannot_take(seed):
+    # -1 and 2.5 constructed and digested, and failed only once training drew
+    with pytest.raises(DomainError, match="seed must be"):
+        TrainingConfig(seed=seed)
+
+
 @pytest.mark.parametrize(
     "numpy_field",
     [{"max_epochs": np.int64(5000)}, {"lr_scale": np.float64(0.1)}, {"seed": np.int64(0)}],
@@ -298,6 +305,17 @@ def test_train_ground_truth_rejects_workers_below_one():
         train_ground_truth(
             contributors, MLPSpec(layer_widths=(4, 4, 1)), TrainingConfig(max_epochs=5),
             t.real_x, t.real_y, workers=0,
+        )
+
+
+@pytest.mark.parametrize("workers", [2.5, True])
+def test_train_ground_truth_rejects_non_integer_workers(workers):
+    contributors = make_contributors([(6, 2)], small_mixture(), feature_dim=4, seed=6)
+    [t] = make_contributors([(10, 0)], small_mixture(), feature_dim=4, seed=66)
+    with pytest.raises(DomainError, match="workers must be an integer"):
+        train_ground_truth(
+            contributors, MLPSpec(layer_widths=(4, 4, 1)), TrainingConfig(max_epochs=5),
+            t.real_x, t.real_y, workers=workers,
         )
 
 

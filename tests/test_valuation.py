@@ -192,6 +192,15 @@ def test_score_all_validation(contributors_small, test_x_small, model_small):
         score_all(contributors_small, np.zeros((0, 4)), model_small, config)
 
 
+@pytest.mark.parametrize("workers", [2.5, True])
+def test_score_all_rejects_non_integer_workers(
+    contributors_small, test_x_small, model_small, workers
+):
+    # 2.5 reached ThreadPoolExecutor(max_workers=2.5) and True ran serially
+    with pytest.raises(DomainError, match="workers must be an integer"):
+        score_all(contributors_small, test_x_small, model_small, ValuationConfig(), workers)
+
+
 def test_subsampling_caps_are_deterministic(contributors_small, test_x_small, model_small):
     config = ValuationConfig(ntk_cap=8, mmd_cap=6, test_cap=10, seed=13)
     a = score(contributors_small[0], test_x_small, model_small, config)
@@ -390,6 +399,15 @@ def test_sampled_shapley_validation():
         sampled_shapley(2, fn, 0)
 
 
+@pytest.mark.parametrize("permutations", [2.5, True])
+def test_permutation_budget_must_be_an_integer(permutations):
+    # 2.5 died in sampled_shapley with a bare TypeError; True was taken as 1
+    with pytest.raises(DomainError, match="mc_permutations must be an integer"):
+        CoalitionWeighting("shapley", permutations)
+    with pytest.raises(DomainError, match="integer mc_permutations"):
+        sampled_shapley(2, table_game({frozenset(): 0.0}), permutations)
+
+
 def test_loo_values_hand_formula():
     v = {
         frozenset({0, 1}): 10.0,
@@ -508,6 +526,38 @@ def test_coalition_model_rows_are_computed_once_per_contributor(
     assert gradient_rows(ValuationConfig(seed=3, ntk_cap=45)) == [
         min(pooled.n_total, 45) for _, pooled in each_coalition(contributors_mixed)
     ]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ValuationConfig(seed=3), ValuationConfig(seed=3, ntk_cap=20)],  # rows held, and not
+)
+def test_each_coalition_pools_its_own_members_once(
+    monkeypatch, contributors_mixed, test_x_small, model_small, config
+):
+    # one pool_contributors call per evaluated nonempty coalition, of its
+    # members in sorted order; a memoized repeat pools nothing
+    pooled = []
+    original = valuation.pool_contributors
+
+    def recording(contributors, id="pool"):
+        pooled.append(([c.id for c in contributors], id))
+        return original(contributors, id=id)
+
+    monkeypatch.setattr(valuation, "pool_contributors", recording)
+    fn = coalition_value_fn(contributors_mixed, test_x_small, model_small, config)
+    assert pooled == []
+    ids = [c.id for c in contributors_mixed]
+    want = []
+    for coalition, _ in each_coalition(contributors_mixed):
+        fn(coalition)
+        members = [ids[i] for i in sorted(coalition)]
+        want.append((members, "+".join(members)))
+    assert pooled == want
+    for coalition, _ in each_coalition(contributors_mixed):
+        fn(coalition)
+    fn(frozenset())
+    assert pooled == want
 
 
 @pytest.mark.parametrize(
