@@ -159,34 +159,22 @@ def _given(cfg: dict, keys) -> dict:
     return {key: cfg[key] for key in keys if key in cfg}
 
 
-def _integer(value, key: str) -> int:
-    """A config value that must be a JSON integer; booleans are not integers."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _scalar(kinds, noun: str, convert):
+    """Reader of a JSON value of the types ``kinds``; a bool is not an int here."""
+
+    def read(value, key: str):
+        if not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool):
+            raise ConfigError(f"{key} must be {noun}, got {value!r}")
+        return convert(value)
+
+    return read
 
 
-def _real(value, key: str) -> float:
-    """A config value that must be a JSON number.
-
-    NaN and infinities pass: the library rejects values outside their
-    domain with a ``DomainError`` (exit 3).
-    """
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _string(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _boolean(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+_integer = _scalar(int, "an integer", int)
+# NaN and infinities pass: the library rejects them with a DomainError (exit 3)
+_real = _scalar((int, float), "a number", float)
+_string = _scalar(str, "a string", str)
+_boolean = _scalar(bool, "true or false", bool)
 
 
 def _list(reader):
@@ -342,8 +330,8 @@ def _model_spec(cfg: dict, input_dim: int) -> MLPSpec:
 
 
 def _load_data(cfg: dict, run: RunResult):
-    """Seed, contributors and test sample (x, y or None) of a config that
-    reads or generates them."""
+    """Seed, contributors, test sample (x, y or None) and the model spec, as
+    wide as the test sample, of a config that reads or generates them."""
     _required(cfg, "seed", "contributors", "test")
     seed, entry, test = cfg["seed"], cfg["contributors"], cfg["test"]
     if isinstance(entry, str):
@@ -357,7 +345,7 @@ def _load_data(cfg: dict, run: RunResult):
     else:
         [c] = _generate(test, [(test.get("size", 200), 0)], derive_seed(seed, "cli-test"))
         test_x, test_y = c.real_x, c.real_y
-    return seed, contributors, test_x, test_y
+    return seed, contributors, test_x, test_y, _model_spec(cfg, test_x.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +466,13 @@ _VALUE = {**_DATA, "weights": _object(_WEIGHTS), **_VALUATION, "fit_weights": _b
 
 
 def _prepare_value(cfg: dict, run: RunResult):
-    seed, contributors, test_x, _ = _load_data(cfg, run)
+    seed, contributors, test_x, _, spec = _load_data(cfg, run)
     vcfg = ValuationConfig(
         weights=ValuationWeights(**cfg.get("weights", {})),
         seed=seed,
         **_given(cfg, _VALUATION),
     )
-    model = Model.at_init(_model_spec(cfg, test_x.shape[1]))
-    return contributors, test_x, model, vcfg
+    return contributors, test_x, Model.at_init(spec), vcfg
 
 
 def run_value(cfg: dict, run: RunResult) -> None:
@@ -547,11 +534,9 @@ _GROUNDTRUTH = {**_DATA, "training": _object(_TRAINING)}
 def run_groundtruth(cfg: dict, run: RunResult) -> None:
     """retrain per contributor, record test metrics"""
     cfg = _read(cfg, _GROUNDTRUTH)
-    seed, contributors, test_x, test_y = _load_data(cfg, run)
+    seed, contributors, test_x, test_y, spec = _load_data(cfg, run)
     if test_y is None:
         raise DomainError("ground truth needs a labeled test file (contributor-row schema)")
-    dim = contributors[0].pooled_x().shape[1]
-    spec = _model_spec(cfg, dim)
     tcfg = TrainingConfig(seed=seed, **cfg.get("training", {}))
     truths = train_ground_truth(
         contributors, spec, tcfg, test_x, test_y, workers=_workers()
@@ -646,8 +631,8 @@ def run_bench(cfg: dict, run: RunResult) -> None:
             workers=workers,
         )
 
-    run_valuation()  # shared warmup for numpy dispatch paths
-    valuation = time_method(run_valuation, units=n, warmup=False)
+    valuation = time_method(run_valuation, units=n)
+    # valuation's warm-up has already run the numpy dispatch paths
     retraining = time_method(run_retraining, units=n, warmup=False)
     ratio = (
         retraining.total_seconds / valuation.total_seconds

@@ -26,7 +26,8 @@ from .errors import DegenerateDataError, DomainError, is_integer
 from .longtail import Contributor, MixtureSpec, check_unique_ids, make_contributors
 from .ntk import MLPSpec, Model, _check_batch, backprop, init_params
 from .ntk import layer_outputs, ntk_gram
-from .valuation import ValuationScore, _map_contributors, empirical_loss, mixture_loss
+from .valuation import ValuationScore, _half_mean_sq, _map_contributors, empirical_loss
+from .valuation import mixture_loss
 
 log = logging.getLogger(__name__)
 
@@ -159,8 +160,7 @@ def train_model(
     for epochs in range(1, config.max_epochs + 1):
         outputs = layer_outputs(spec, layers, x)
         resid = outputs[-1][:, 0] - y
-        # the bits of np.mean(resid**2) / 2.0 without mean's wrapper cost
-        loss = float(np.add.reduce(resid * resid)) / n / 2.0
+        loss = _half_mean_sq(resid)
         if not math.isfinite(loss) or loss > 1e6:
             return TrainResult(model, epochs, loss, diverged=True, converged=False, lr=lr)
         if abs(prev - loss) < config.tol:
@@ -268,13 +268,13 @@ def spearman(xs, ys) -> float:
 def kendall(xs, ys) -> float:
     """Tie-corrected rank concordance (the tau-b form)."""
     x, y = _validate_pair(xs, ys)
-    dx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(len(x), k=1)
-    s = float(np.sum(dx[iu] * dy[iu]))
+    i, j = np.triu_indices(len(x), k=1)  # the n(n-1)/2 distinct pairs, i < j
+    dx = np.sign(x[i] - x[j])
+    dy = np.sign(y[i] - y[j])
+    s = float(np.sum(dx * dy))
     n0 = len(x) * (len(x) - 1) / 2.0
-    tx = n0 - float(np.sum(dx[iu] != 0))
-    ty = n0 - float(np.sum(dy[iu] != 0))
+    tx = n0 - float(np.sum(dx != 0))
+    ty = n0 - float(np.sum(dy != 0))
     denom = math.sqrt((n0 - tx) * (n0 - ty))
     if denom == 0.0:
         raise DegenerateDataError("constant input has no defined concordance")

@@ -195,8 +195,7 @@ class Contributor:
     synth_idx: np.ndarray
 
     def __post_init__(self) -> None:
-        n1, n2 = len(self.real_y), len(self.synth_y)
-        if n1 + n2 < 1:
+        if len(self.real_y) + len(self.synth_y) < 1:
             raise DomainError(f"contributor {self.id!r} has no samples")
         for name, x, y, idx in (
             ("real", self.real_x, self.real_y, self.real_idx),
@@ -204,7 +203,7 @@ class Contributor:
         ):
             if x.ndim != 2 or len(x) != len(y) or len(y) != len(idx):
                 raise DomainError(f"contributor {self.id!r}: inconsistent {name} arrays")
-        if self.real_x.shape[1] != self.synth_x.shape[1] and n1 and n2:
+        if self.real_x.shape[1] != self.synth_x.shape[1]:  # an empty part too
             raise DomainError(f"contributor {self.id!r}: feature dims differ")
         for x, y in ((self.real_x, self.real_y), (self.synth_x, self.synth_y)):
             # comparisons with NaN are False, so NaN labels fail this test too
@@ -249,6 +248,9 @@ def pool_contributors(contributors: list[Contributor], id: str = "pool") -> Cont
     """Merge several contributors into one (real with real, synth with synth)."""
     if not contributors:
         raise DomainError("cannot pool an empty contributor list")
+    widths = sorted({c.real_x.shape[1] for c in contributors})
+    if len(widths) > 1:
+        raise DomainError(f"cannot pool contributors of different feature dims {widths}")
     return Contributor(
         id=id,
         real_x=np.vstack([c.real_x for c in contributors]),

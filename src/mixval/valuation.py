@@ -142,11 +142,12 @@ def empirical_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
         raise DomainError("empirical loss of an empty dataset is undefined")
     if len(x) != len(y):
         raise DomainError(f"{len(x)} inputs vs {len(y)} labels")
-    return _half_mean_sq(model.predict(x), y)
+    return _half_mean_sq(model.predict(x) - y)
 
 
-def _half_mean_sq(f: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean((f - y) ** 2) / 2.0)
+def _half_mean_sq(resid: np.ndarray) -> float:
+    # the bits of np.mean(resid**2) / 2.0 without mean's wrapper cost
+    return float(np.add.reduce(resid * resid)) / len(resid) / 2.0
 
 
 def _parts(c: Contributor) -> list[tuple[float, np.ndarray, np.ndarray, str, slice]]:
@@ -169,7 +170,7 @@ def _predictions(model: Model, c: Contributor) -> np.ndarray:
 
 def _loss_term(c: Contributor, predictions: np.ndarray) -> float:
     # the one loss rule, read from the model's outputs on the pooled rows
-    return math.fsum(w * _half_mean_sq(predictions[at], y) for w, _, y, _, at in _parts(c))
+    return math.fsum(w * _half_mean_sq(predictions[at] - y) for w, _, y, _, at in _parts(c))
 
 
 def mixture_loss(model: Model, contributor: Contributor) -> float:
@@ -540,16 +541,15 @@ def exact_shapley(n: int, value_fn: ValueFn) -> np.ndarray:
     for mask in range(1 << n):
         coalition = frozenset(i for i in range(n) if mask >> i & 1)
         values[mask] = value_fn(coalition)
-    fact = [math.factorial(k) for k in range(n + 1)]
+    # the weight of a coalition without i, by its size s
+    weight = [math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n) for s in range(n)]
     phi = np.zeros(n)
     for i in range(n):
         acc = 0.0
         for mask in range(1 << n):
             if mask >> i & 1:
                 continue
-            size = bin(mask).count("1")
-            w = fact[size] * fact[n - size - 1] / fact[n]
-            acc += w * (values[mask | (1 << i)] - values[mask])
+            acc += weight[bin(mask).count("1")] * (values[mask | (1 << i)] - values[mask])
         phi[i] = acc
     return phi
 

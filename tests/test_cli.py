@@ -12,10 +12,16 @@ import numpy as np
 import pytest
 
 import mixval
-from mixval import cli
+from mixval import cli, evalharness
+from mixval._seeds import derive_seed
 from mixval.errors import DomainError, NumericalError
 from mixval.evalharness import TrainingConfig
-from mixval.longtail import TruncatedPowerLawSpec, make_contributors, write_contributors
+from mixval.longtail import (
+    MixtureSpec,
+    TruncatedPowerLawSpec,
+    make_contributors,
+    write_contributors,
+)
 from mixval.ntk import MLPSpec
 from mixval.valuation import ValuationConfig, ValuationWeights
 
@@ -124,6 +130,21 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
     assert code == 2
     assert "unknown keys in config section 'params': pi" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "must hold a JSON object"),
+     (json.dumps({**value_payload(), "model": 5}), "model must be an object, got 5")],
+)
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "value", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "error[config]" in err and message in err
     assert not out.exists()
 
 
@@ -554,6 +575,17 @@ def test_simulate_rejects_pi_and_grid_together(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_rejects_an_empty_pi_grid(tmp_path, capsys):
+    payload = simulate_payload(pi_grid=[])
+    del payload["pi"]
+    cfg = write_config(tmp_path, "sim.json", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "error[config]: 'pi_grid' must not be empty" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "grid, clash",
     [([0.1234561, 0.1234564], "0.1234561 and 0.1234564"), ([0.5, 0.25, 0.5], "0.5 and 0.5")],
@@ -665,6 +697,24 @@ def test_value_reads_contributor_directory(tmp_path, capsys):
     )
     assert code == 3
     assert "error[domain]" in err and "c001.csv" in err
+
+
+def test_value_reads_a_test_sample_file(tmp_path, capsys):
+    # the file holds the draw the config would generate inline: same outputs
+    payload = value_payload()
+    inline = write_config(tmp_path, "inline.json", payload)
+    assert run_cli(capsys, "value", "--config", str(inline), "--out", str(tmp_path / "a"))[0] == 0
+    [test] = make_contributors(
+        [(12, 0)], MixtureSpec.power_law(), 4, derive_seed(payload["seed"], "cli-test")
+    )
+    [path] = write_contributors([test], str(tmp_path / "test"))
+    from_file = write_config(tmp_path, "file.json", {**payload, "test": path})
+    code, manifest, _ = run_cli(
+        capsys, "value", "--config", str(from_file), "--out", str(tmp_path / "b")
+    )
+    assert code == 0
+    assert path in manifest["inputs"]
+    assert read_bytes_map(tmp_path / "b") == read_bytes_map(tmp_path / "a")
 
 
 def write_repeated_id_directory(tmp_path: Path) -> Path:
@@ -903,6 +953,45 @@ def test_groundtruth_then_evaluate(tmp_path, capsys):
     ev4_out = tmp_path / "ev4"
     assert run_cli(capsys, "evaluate", "--config", str(ev4_cfg), "--out", str(ev4_out))[0] == 0
     assert (ev4_out / "correlation.json").read_bytes() == (ev_out / "correlation.json").read_bytes()
+
+
+def test_groundtruth_with_an_unlabeled_test_file_exits_3(tmp_path, capsys):
+    test = tmp_path / "test.csv"
+    test.write_text("f0,f1,f2,f3\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n", encoding="utf-8")
+    cfg = write_config(tmp_path, "gt.json", {**groundtruth_payload(), "test": str(test)})
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "groundtruth", "--config", str(cfg), "--out", str(out))
+    assert code == 3
+    assert "error[domain]: ground truth needs a labeled test file" in err
+    assert not out.exists()
+
+
+def test_groundtruth_sizes_the_model_from_the_test_set(tmp_path, capsys, monkeypatch):
+    # 3-wide contributors and a 4-wide test set: the model is 4 wide, as for
+    # value and marginal, so the first training run rejects its inputs
+    completed = []
+    train_model = evalharness.train_model
+
+    def counting(*args, **kwargs):
+        result = train_model(*args, **kwargs)
+        completed.append(result)
+        return result
+
+    monkeypatch.setattr(evalharness, "train_model", counting)
+    payload = {
+        **groundtruth_payload(),
+        "contributors": {"plan": [[6, 2], [4, 4]], "feature_dim": 3},
+        "test": {"size": 8, "feature_dim": 4},
+        "training": {"max_epochs": 20},
+    }
+    del payload["model"]
+    cfg = write_config(tmp_path, "gt.json", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "groundtruth", "--config", str(cfg), "--out", str(out))
+    assert code == 3
+    assert "error[domain]: inputs must have 4 features, got shape (8, 3)" in err
+    assert completed == []
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

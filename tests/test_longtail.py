@@ -278,6 +278,19 @@ def test_pool_contributors_counts(contributors_small):
     assert np.array_equal(pooled.real_x, stacked)
 
 
+def test_parts_and_pool_members_share_one_feature_dim(contributors_small):
+    # an empty part has a width too; numpy cannot stack parts of two widths
+    x, y, idx = np.zeros((2, 4)), np.array([0.2, 0.4]), np.array([1, 2])
+    empty_x, empty_y, empty_idx = np.zeros((0, 5)), np.zeros(0), np.zeros(0, int)
+    with pytest.raises(DomainError, match="'a': feature dims differ"):
+        Contributor("a", x, y, idx, empty_x, empty_y, empty_idx)
+    with pytest.raises(DomainError, match="'a': feature dims differ"):
+        Contributor("a", empty_x, empty_y, empty_idx, x, y, idx)
+    [wide] = make_contributors([(3, 2)], small_mixture(), feature_dim=5, seed=1)
+    with pytest.raises(DomainError, match=r"different feature dims \[4, 5\]"):
+        pool_contributors([contributors_small[0], wide])
+
+
 def test_write_read_roundtrip(tmp_path, contributors_small):
     paths = write_contributors(contributors_small, str(tmp_path))
     assert len(paths) == 3

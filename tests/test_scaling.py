@@ -69,6 +69,18 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize(
+    "field, bad, message",
+    [("a", 0.0, "a must be > 0"), ("a", -1.0, "a must be > 0"),
+     ("alpha", -0.5, "alpha and lam must be >= 0"), ("lam", -1.0, "alpha and lam must be >= 0"),
+     ("b", -0.1, "b must be >= 0")],
+)
+def test_params_reject_out_of_range_curve_coefficients(field, bad, message):
+    good = dict(a=1.0, alpha=0.5, b=0.5, lam=1.0, beta=1.5, cutoff=10, pi=0.5)
+    with pytest.raises(DomainError, match=message):
+        ScalingParams(**{**good, field: bad})
+
+
+@pytest.mark.parametrize(
     "sizes",
     [dict(cutoff=10.5), dict(cutoff=True), dict(cutoff=np.float64(10.0)),
      dict(support_max=100.5), dict(support_max="100"), dict(support_max=None)],
@@ -513,6 +525,12 @@ def test_phase_curve_validation():
         PhaseCurve(np.array([10.0, 5.0]), np.array([0.5, 0.4]), params)
     with pytest.raises(DomainError):
         PhaseCurve(np.array([1.0, 2.0]), np.array([0.5]), params)
+
+
+@pytest.mark.parametrize("sizes", [[0.0, 1.0], [-2.0, 1.0]])
+def test_phase_curve_rejects_sample_sizes_that_are_not_positive(sizes):
+    with pytest.raises(DomainError, match="sample sizes must be positive"):
+        PhaseCurve(np.array(sizes), np.array([0.5, 0.4]), full_params(0.5, support_max=100))
 
 
 def test_phase_labels_respect_breakpoints():

@@ -627,6 +627,17 @@ def test_coalition_value_fn_checks_the_contributor_list(
         coalition_value_fn(repeated, test_x_small, model_small, ValuationConfig())
 
 
+def test_coalition_value_fn_names_the_contributor_the_model_cannot_take(
+    test_x_small, model_small
+):
+    # 3-wide contributors under a 4-wide model fail where their rows are held
+    narrow = make_contributors([(4, 3), (5, 2)], small_mixture(), feature_dim=3, seed=4)
+    with pytest.raises(
+        DomainError, match=r"^contributor 'c000': inputs must have 4 features, got shape \(7, 3\)$"
+    ):
+        coalition_value_fn(narrow, test_x_small, model_small, ValuationConfig())
+
+
 def test_marginal_values_shapley_and_loo(contributors_small, test_x_small, model_small):
     config = ValuationConfig(seed=3)
     report = marginal_values(
