@@ -343,7 +343,10 @@ def _load_data(cfg: dict, run: RunResult):
     if isinstance(test, str):
         test_x, test_y = run.samples(Path(test))
     else:
-        [c] = _generate(test, [(test.get("size", 200), 0)], derive_seed(seed, "cli-test"))
+        size = test.get("size", 200)
+        if size < 1:
+            raise ConfigError(f"test.size must be >= 1, got {size}")
+        [c] = _generate(test, [(size, 0)], derive_seed(seed, "cli-test"))
         test_x, test_y = c.real_x, c.real_y
     return seed, contributors, test_x, test_y, _model_spec(cfg, test_x.shape[1])
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +24,15 @@ import numpy as np
 from ._seeds import cap_rows, check_seed, substream
 from .errors import DomainError, MixvalError, is_integer
 from .longtail import Contributor, check_unique_ids, pool_contributors
-from .mmd import _DEFAULT_SCALES, _ESTIMATORS, DistanceBlocks, MultiKernelSpec, mmd, sq_pairs
+from .mmd import (
+    _DEFAULT_SCALES,
+    _ESTIMATORS,
+    DistanceBlocks,
+    MultiKernelSpec,
+    mmd,
+    sq_distances,
+    sq_pairs,
+)
 from .ntk import Model, NTKGram, bound_term, gradients, ntk_gram
 
 _EXACT_SHAPLEY_MAX = 12
@@ -222,17 +231,26 @@ class _ModelRows:
 
 
 def _part_discrepancy(
-    test: _TestSet, x: np.ndarray, cid: str, tag: str, config: ValuationConfig
+    test: _TestSet,
+    x: np.ndarray,
+    cid: str,
+    tag: str,
+    config: ValuationConfig,
+    part_blocks: Callable[[str], DistanceBlocks] | None,
 ) -> float:
-    # MMD of one capped part to the test set; its distance blocks are
-    # built once, serve the median and the kernels, and die on return,
-    # before the next part's
-    part_x = x[cap_rows(len(x), config.mmd_cap, config.seed, "value", cid, "mmd-cap", tag)]
-    # the rows are all of them exactly when test.d2 is held
-    t_x = test.x[
-        cap_rows(len(test.x), config.test_cap, config.seed, "value", cid, "test-cap", tag)
-    ]
-    blocks = DistanceBlocks.of(t_x, part_x, sq_pairs(t_x) if test.d2 is None else test.d2)
+    # MMD of one capped part to the test set; its distance blocks serve the
+    # median and the kernels, and die on return, before the next part's.
+    # ``part_blocks(tag)`` gives them when no cap can fire; otherwise they
+    # are built here.
+    if part_blocks is not None:
+        t_x, part_x, blocks = test.x, x, part_blocks(tag)
+    else:
+        part_x = x[cap_rows(len(x), config.mmd_cap, config.seed, "value", cid, "mmd-cap", tag)]
+        # the rows are all of them exactly when test.d2 is held
+        t_x = test.x[
+            cap_rows(len(test.x), config.test_cap, config.seed, "value", cid, "test-cap", tag)
+        ]
+        blocks = DistanceBlocks.of(t_x, part_x, sq_pairs(t_x) if test.d2 is None else test.d2)
     bank = MultiKernelSpec.median_bank(t_x, part_x, config.kernel_scales, blocks)
     return mmd(t_x, part_x, bank, config.estimator, blocks).value
 
@@ -244,6 +262,7 @@ def score(
     config: ValuationConfig,
     *,
     rows: _ModelRows | None = None,
+    part_blocks: Callable[[str], DistanceBlocks] | None = None,
 ) -> ValuationScore:
     """Four-term value of one contributor against a test sample.
 
@@ -257,13 +276,17 @@ def score(
     ``coalition_value_fn`` joins them from its members' held rows; otherwise
     ``_ModelRows.of`` builds them here, after the discrepancy term, so that
     the gradient rows are never alive next to its distance blocks.
+    Likewise ``part_blocks`` maps a part's tag ("real", "synth") to its
+    uncapped distance blocks against the whole test set, joined by
+    ``coalition_value_fn`` from held pieces; without it each part's yy is
+    built square here (see ``mmd.DistanceBlocks`` for why).
     """
     test = test_x if isinstance(test_x, _TestSet) else _TestSet.of(test_x, config.test_cap)
     cid = contributor.id
     pi = contributor.pi
     try:
         discrepancy_term = math.fsum(
-            weight * _part_discrepancy(test, x, cid, tag, config)
+            weight * _part_discrepancy(test, x, cid, tag, config, part_blocks)
             for weight, x, _, tag, _ in _parts(contributor)
         )
         keep = cap_rows(contributor.n_total, config.ntk_cap, config.seed, "value", cid, "ntk-cap")
@@ -473,6 +496,20 @@ def coalition_value_fn(
     J'J.  A coalition takes its members' real rows, then their synthetic
     rows (the pooled order), and above P sums its members' J'J instead
     of forming its own.
+
+    Likewise, when no distance cap can fire (``test_cap`` keeps the whole
+    test set, and ``mmd_cap`` is None or each part of the pool of every
+    contributor fits under it), the distance pieces are built once
+    (``_PartDistances``): each contributor's test x real and test x
+    synthetic blocks and, per part, the pairs within each contributor and
+    between each two.  For T test rows, N pooled rows and parts of N_p
+    rows that is T*N + sum_p N_p(N_p - 1)/2 floats, at most what the full
+    coalition's own blocks cost.  A coalition part joins its members'
+    pieces into a condensed yy and an xy, so no coalition computes a
+    distance.  When a cap can fire, each coalition builds its own blocks.
+    ``score_all`` holds no pieces and keeps a square yy per part: a
+    condensed one raised the value-wide benchmark's peak RSS from 110.0 to
+    121.5 MB, through glibc's dynamic mmap threshold.
     """
     _check_contributors(contributors)
     test = _TestSet.of(test_x, config.test_cap)
@@ -480,6 +517,15 @@ def coalition_value_fn(
     held = (
         [_held_rows(c, model, with_jtj=n_total > model.spec.n_params) for c in contributors]
         if config.ntk_cap is None or n_total <= config.ntk_cap
+        else None
+    )
+    parts = {"real": [c.real_x for c in contributors], "synth": [c.synth_x for c in contributors]}
+    fits = config.mmd_cap is None or all(
+        sum(map(len, xs)) <= config.mmd_cap for xs in parts.values()
+    )
+    pieces = (
+        {tag: _PartDistances.of(test.x, xs) for tag, xs in parts.items()}
+        if test.d2 is not None and fits
         else None
     )
     cache: dict[frozenset[int], float] = {frozenset(): 0.0}
@@ -493,7 +539,8 @@ def coalition_value_fn(
             [contributors[i] for i in members], id="+".join(contributors[i].id for i in members)
         )
         rows = None if held is None else _coalition_rows([held[i] for i in members], model)
-        v = score(pooled, test, model, config, rows=rows).total
+        part_blocks = None if pieces is None else lambda tag: pieces[tag].blocks(test.d2, members)
+        v = score(pooled, test, model, config, rows=rows, part_blocks=part_blocks).total
         cache[coalition] = v
         return v
 
@@ -526,6 +573,37 @@ def _coalition_rows(held: list[tuple], model: Model) -> _ModelRows:
             jtj += other
     gram = ntk_gram(model.spec, model.params, rows=grads, jtj=jtj)
     return _ModelRows(np.concatenate([p for p, _ in parts]), gram)
+
+
+@dataclass(frozen=True)
+class _PartDistances:
+    """One part's (real or synthetic) distance pieces, per contributor.
+
+    ``test`` holds each contributor's T x n_i block against the test set,
+    ``within`` its n_i(n_i - 1)/2 condensed pairs, and ``between`` the
+    n_i x n_j block of each two contributors i < j, flattened.
+    """
+
+    test: list[np.ndarray]
+    within: list[np.ndarray]
+    between: dict[tuple[int, int], np.ndarray]
+
+    @classmethod
+    def of(cls, test_x: np.ndarray, xs: list[np.ndarray]) -> "_PartDistances":
+        between = {
+            (i, j): sq_distances(xs[i], xs[j]).ravel()
+            for i, j in combinations(range(len(xs)), 2)
+        }
+        return cls([sq_distances(test_x, x) for x in xs], [sq_pairs(x) for x in xs], between)
+
+    def blocks(self, test_d2: np.ndarray, members: list[int]) -> DistanceBlocks:
+        # the part of the members pooled in this order: its xy columns are
+        # the members' test blocks side by side, and its condensed yy holds
+        # every pair once, within each member and then between each two
+        pairs = [self.within[i] for i in members]
+        pairs += [self.between[ij] for ij in combinations(members, 2)]
+        xy = np.concatenate([self.test[i] for i in members], axis=1)
+        return DistanceBlocks(test_d2, np.concatenate(pairs), xy)
 
 
 def exact_shapley(n: int, value_fn: ValueFn) -> np.ndarray:

@@ -254,6 +254,20 @@ def test_mistyped_number_exits_2(tmp_path, capsys, command, updates, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["value", "marginal", "groundtruth"])
+@pytest.mark.parametrize("size", [0, -3])
+def test_generated_test_set_of_no_rows_exits_2(tmp_path, capsys, command, size):
+    payload = edited_payload(tmp_path, command, {})
+    payload["test"] = {**payload["test"], "size": size}
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert f"error[config]: test.size must be >= 1, got {size}" in err
+    assert "plan" not in err
+    assert not out.exists()
+
+
 def test_null_ridge_is_default_and_null_cap_is_off(tmp_path, capsys):
     def outputs(command: str, updates: dict, name: str) -> dict[str, bytes]:
         cfg = write_config(tmp_path, f"{name}.json", edited_payload(tmp_path, command, updates))

@@ -220,12 +220,53 @@ def test_condensed_within_x_pairs_match_the_square_block(nx, ny, duplicates):
 def test_condensed_pairs_of_the_wrong_length_are_rejected():
     x, y = _pair(6, 4, 2, 0.0, 3)
     blocks = DistanceBlocks.of(x, y, sq_pairs(x))
-    for bad in (blocks.xx[:-1], np.append(blocks.xx, 1.0), sq_pairs(y)):
-        broken = dataclasses.replace(blocks, xx=bad)
+    wrong = [("xx", bad) for bad in (blocks.xx[:-1], np.append(blocks.xx, 1.0), sq_pairs(y))]
+    wrong += [("yy", bad) for bad in (sq_pairs(y)[:-1], np.append(sq_pairs(y), 1.0), blocks.xx)]
+    for block, bad in wrong:
+        broken = dataclasses.replace(blocks, **{block: bad})
         with pytest.raises(DomainError, match="do not match"):
             mmd(x, y, single_kernel(), "biased", broken)
         with pytest.raises(DomainError, match="do not match"):
             median_heuristic(x, y, broken)
+
+
+def _condensed(blocks: DistanceBlocks, x: np.ndarray, y: np.ndarray, which: str) -> DistanceBlocks:
+    # blocks with the within-set pairs of "yy" or of both sets condensed
+    yy = {"yy": sq_pairs(y)}
+    return dataclasses.replace(blocks, **(yy if which == "yy" else {**yy, "xx": sq_pairs(x)}))
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 2), (14, 9), (45, 60), (30, 363), (200, 400)])
+@pytest.mark.parametrize("duplicates", [False, True])
+@pytest.mark.parametrize("which", ["yy", "both"])
+def test_condensed_within_y_pairs_match_the_square_block(nx, ny, duplicates, which):
+    # ny = 363 and 400 hold over 65536 pairs, so their condensed yy spans
+    # two pair blocks
+    x, y = _pair(nx, ny, 8, 0.3, nx + 7 * ny)
+    if duplicates:
+        y[: ny // 2 + 1] = y[0]
+        x[:2] = y[0]
+    square = DistanceBlocks.of(x, y)
+    condensed = _condensed(square, x, y, which)
+    assert np.array_equal(condensed.yy, square.yy[np.triu_indices(ny, 1)])
+    assert median_heuristic(x, y, condensed) == median_heuristic(x, y, square)
+    bank = MultiKernelSpec.median_bank(x, y, blocks=square)
+    for estimator in ("biased", "unbiased"):
+        got = mmd(x, y, bank, estimator, condensed).squared
+        assert abs(got - mmd(x, y, bank, estimator, square).squared) <= 1e-14
+
+
+def test_condensed_pairs_in_any_order_give_the_same_median_and_mmd_within_rounding():
+    x, y = _pair(40, 380, 4, 0.2, 17)
+    square = DistanceBlocks.of(x, y)
+    shuffled = dataclasses.replace(
+        square, yy=np.random.default_rng(5).permutation(sq_pairs(y))
+    )
+    assert median_heuristic(x, y, shuffled) == median_heuristic(x, y, square)
+    bank = MultiKernelSpec.median_bank(x, y, blocks=square)
+    for estimator in ("biased", "unbiased"):
+        got = mmd(x, y, bank, estimator, shuffled).squared
+        assert abs(got - mmd(x, y, bank, estimator, square).squared) <= 1e-14
 
 
 def test_median_bank_scales():

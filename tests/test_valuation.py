@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixval import mmd as mmd_module
 from mixval import ntk, valuation
 from mixval.errors import DomainError
 from mixval.longtail import Contributor, make_contributors, pool_contributors
@@ -526,6 +527,79 @@ def test_coalition_model_rows_are_computed_once_per_contributor(
     assert gradient_rows(ValuationConfig(seed=3, ntk_cap=45)) == [
         min(pooled.n_total, 45) for _, pooled in each_coalition(contributors_mixed)
     ]
+
+
+def count_distance_calls(monkeypatch) -> dict[str, int]:
+    # calls to cdist (under every sq_distances) and to sq_pairs, by name
+    calls = {"cdist": 0, "sq_pairs": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(mmd_module, "cdist", counting("cdist", mmd_module.cdist))
+    pairs = counting("sq_pairs", mmd_module.sq_pairs)
+    monkeypatch.setattr(mmd_module, "sq_pairs", pairs)
+    monkeypatch.setattr(valuation, "sq_pairs", pairs)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ValuationConfig(seed=3),
+        # caps at the pool's real part (33 rows) and the test set (30 rows)
+        ValuationConfig(seed=3, mmd_cap=33, test_cap=30, estimator="unbiased"),
+    ],
+)
+def test_coalitions_compute_no_distances_when_no_cap_can_fire(
+    monkeypatch, contributors_mixed, test_x_small, model_small, config
+):
+    calls = count_distance_calls(monkeypatch)
+    fn = coalition_value_fn(contributors_mixed, test_x_small, model_small, config)
+    assert calls["cdist"] > 0 and calls["sq_pairs"] > 0  # the held pieces
+    calls.update(cdist=0, sq_pairs=0)
+    for coalition, _ in each_coalition(contributors_mixed):
+        fn(coalition)
+    assert calls == {"cdist": 0, "sq_pairs": 0}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ValuationConfig(seed=3, mmd_cap=32), ValuationConfig(seed=3, test_cap=29)],
+)
+def test_coalitions_build_their_own_blocks_when_a_cap_can_fire(
+    monkeypatch, contributors_mixed, test_x_small, model_small, config
+):
+    # the pool's real part (33 rows) exceeds mmd_cap 32, or the test set
+    # (30 rows) test_cap 29: no pieces are held, and each nonempty part of
+    # each coalition computes its own test x part and part x part blocks
+    calls = count_distance_calls(monkeypatch)
+    fn = coalition_value_fn(contributors_mixed, test_x_small, model_small, config)
+    for coalition, pooled in each_coalition(contributors_mixed):
+        want = score(pooled, test_x_small, model_small, config).total
+        calls.update(cdist=0, sq_pairs=0)
+        assert fn(coalition) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert calls["cdist"] == 2 * ((pooled.n_real > 0) + (pooled.n_synth > 0))
+
+
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+def test_held_distance_pieces_match_fresh_scores_over_two_pair_blocks(model_small, estimator):
+    # the pooled real part has 390 rows, so its condensed yy (75855 pairs)
+    # spans two 65536-entry pair blocks; one member has no real part and
+    # one no synthetic part
+    contributors = make_contributors(
+        [(200, 12), (0, 25), (190, 0)], small_mixture(), feature_dim=4, seed=21
+    )
+    [holdout] = make_contributors([(40, 0)], small_mixture(), feature_dim=4, seed=22)
+    config = ValuationConfig(seed=5, estimator=estimator)
+    fn = coalition_value_fn(contributors, holdout.real_x, model_small, config)
+    for coalition, pooled in each_coalition(contributors):
+        want = score(pooled, holdout.real_x, model_small, config)
+        assert fn(coalition) == pytest.approx(want.total, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
