@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .errors import DomainError, is_integer
+from .errors import check_count
 
 
 def _as_key(part: int | str) -> int:
@@ -22,12 +22,8 @@ def _as_key(part: int | str) -> int:
 
 
 def check_seed(seed: int) -> None:
-    """Reject a root seed that ``SeedSequence`` cannot take: a negative
-    one, or one that is not an integer (``errors.is_integer``)."""
-    if not is_integer(seed):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    """Reject a root seed that ``SeedSequence`` cannot take."""
+    check_count(seed, "seed", 0)
 
 
 def _sequence(seed: int, path: tuple[int | str, ...]) -> np.random.SeedSequence:

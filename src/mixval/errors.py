@@ -1,4 +1,4 @@
-"""Shared exception types, and the integer rule that records share.
+"""Shared exception types, and the one count rule.
 
 Errors fall into two families: domain errors (inputs outside an
 operation's contract) and numerical errors (a computation that cannot
@@ -13,6 +13,16 @@ def is_integer(value) -> bool:
     """Whether a size or count is an integer: a ``numbers.Integral``
     (numpy integers too) that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """The one count rule, for every size, count and index an entry point
+    takes: raise :class:`DomainError` naming ``name`` unless ``value``
+    passes :func:`is_integer` and is at least ``minimum``."""
+    if not is_integer(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
 
 
 class MixvalError(Exception):

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._seeds import cap_rows, check_seed, derive_seed, substream
-from .errors import DegenerateDataError, DomainError, is_integer
+from .errors import DegenerateDataError, DomainError, check_count, is_integer
 from .longtail import Contributor, MixtureSpec, check_unique_ids, make_contributors
 from .ntk import MLPSpec, Model, _check_batch, backprop, init_params
 from .ntk import layer_outputs, ntk_gram
@@ -57,13 +57,10 @@ class TrainingConfig:
         # the chained comparisons are False for NaN as well as for infinities
         if not (0 < self.lr_scale < math.inf and 0 < self.lr_cap < math.inf):
             raise DomainError("learning-rate scale and cap must be finite and > 0")
-        counts = (self.max_epochs, self.eigen_cap, self.restarts)
-        if not all(map(is_integer, counts)):
-            raise DomainError(f"max_epochs, eigen_cap and restarts must be integers, got {counts}")
-        if not 0 < self.tol < math.inf or self.max_epochs < 1 or self.eigen_cap < 1:
-            raise DomainError("tol must be finite and > 0, max_epochs and eigen_cap >= 1")
-        if self.restarts < 1:
-            raise DomainError(f"restarts must be >= 1, got {self.restarts}")
+        if not 0 < self.tol < math.inf:
+            raise DomainError(f"tol must be finite and > 0, got {self.tol}")
+        for name in ("max_epochs", "eigen_cap", "restarts"):
+            check_count(getattr(self, name), name, 1)
         if self.metric not in _METRICS:
             raise DomainError(f"metric must be one of {_METRICS}, got {self.metric!r}")
         check_seed(self.seed)
@@ -100,10 +97,10 @@ class GroundTruth:
             raise DomainError(
                 f"test metric must be in [0, 1], got {self.test_metric}"
             )
-        if self.epochs is not None and self.epochs < 1:
-            raise DomainError(f"epochs must be >= 1, got {self.epochs}")
-        if self.converged is not None and self.converged < 0:
-            raise DomainError(f"converged must be >= 0, got {self.converged}")
+        if self.epochs is not None:
+            check_count(self.epochs, "epochs", 1)
+        if self.converged is not None:
+            check_count(self.converged, "converged", 0)
 
 
 @dataclass(frozen=True)
@@ -291,8 +288,7 @@ class CorrelationReport:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError("a correlation report needs n >= 2")
+        check_count(self.n, "n", 2)
         for name in ("pearson", "spearman", "kendall"):
             v = getattr(self, name)
             if not -1.0 - 1e-12 <= v <= 1.0 + 1e-12:
@@ -383,8 +379,7 @@ def time_method(
     task: Callable[[], object], units: int = 1, warmup: bool = True
 ) -> RuntimeReport:
     """Time one run of task on a monotonic clock; the warmup run is untimed."""
-    if units < 1:
-        raise DomainError(f"units must be >= 1, got {units}")
+    check_count(units, "units", 1)
     if warmup:
         task()
     t0 = time.perf_counter()
@@ -456,8 +451,8 @@ def make_shift_fixture(
     the real distribution, so it shares the feature geometry of the
     real parts.  Knowledge follows the default ``MixtureSpec.power_law``.
     """
-    if samples_each < 2 or test_size < 2:
-        raise DomainError("samples_each and test_size must be >= 2")
+    check_count(samples_each, "samples_each", 2)
+    check_count(test_size, "test_size", 2)
 
     def per_contributor(value, name: str) -> list[float]:
         out = (

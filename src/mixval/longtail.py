@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._seeds import substream
-from .errors import ConfigError, DomainError, is_integer
+from .errors import ConfigError, DomainError, check_count, is_integer
 
 # substream tags under the root seed
 _PROTO_STREAM = 0
@@ -33,7 +33,7 @@ _GOLDEN = 0.6180339887498949  # frac(golden ratio), spreads labels over [0, 1)
 
 def _check_law(beta: float, **sizes: int) -> None:
     # The rules of a power law, full or truncated, and so of ScalingParams: 1 < beta < inf,
-    # and integer sizes (not bools), checked before 1 <= each size <= the next one.
+    # and integer sizes, checked before 1 <= each size <= the next one.
     if not 1 < beta < math.inf:
         raise DomainError(f"beta must be finite and > 1, got {beta}")
     got = ", ".join(f"{name}={v!r}" for name, v in sizes.items())
@@ -122,10 +122,9 @@ Distribution = PowerLawSpec | TruncatedPowerLawSpec | MixtureSpec
 
 def pmf(dist: Distribution, i: int) -> float:
     """Probability of knowledge index ``i`` (1-based) under ``dist``."""
-    if not 1 <= i <= dist.support_max:
-        raise DomainError(
-            f"index {i} outside support 1..{dist.support_max}"
-        )
+    check_count(i, "index", 1)
+    if i > dist.support_max:
+        raise DomainError(f"index {i} outside support 1..{dist.support_max}")
     return float(dist.probabilities()[i - 1])
 
 
@@ -138,8 +137,7 @@ def sample_knowledge(dist: Distribution, n: int, seed: int) -> np.ndarray:
     :func:`make_contributors` draws through the same lookup from its
     own substreams.
     """
-    if n < 0:
-        raise DomainError(f"sample count must be >= 0, got {n}")
+    check_count(n, "n", 0)
     rng = substream(seed, _SAMPLE_STREAM)
     return _draw_indices(dist.probabilities(), n, rng)
 
@@ -162,7 +160,9 @@ def knowledge_prototype(index: int, feature_dim: int, seed: int) -> np.ndarray:
     Prototypes depend only on (seed, index, feature_dim), so every
     contributor in a run shares the same feature geometry.
     """
-    rng = substream(seed, _PROTO_STREAM, int(index), feature_dim)
+    check_count(index, "index", 1)
+    check_count(feature_dim, "feature_dim", 1)
+    rng = substream(seed, _PROTO_STREAM, index, feature_dim)
     v = rng.standard_normal(feature_dim)
     return v / np.linalg.norm(v)
 
@@ -277,16 +277,17 @@ def make_contributors(
     Each contributor uses its own derived substream, so output depends
     only on (plan, mixture, feature_dim, seed).
     """
-    if feature_dim < 1:
-        raise DomainError(f"feature_dim must be >= 1, got {feature_dim}")
-    if noise_scale < 0:
-        raise DomainError(f"noise_scale must be >= 0, got {noise_scale}")
+    check_count(feature_dim, "feature_dim", 1)
+    if not (math.isfinite(noise_scale) and noise_scale >= 0):
+        raise DomainError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     p_real = mixture.real_dist.probabilities()
     p_synth = mixture.synth_dist.probabilities()
     out = []
     for c, (n_real, n_synth) in enumerate(plan):
-        if n_real < 0 or n_synth < 0 or n_real + n_synth < 1:
-            raise DomainError(f"plan entry {c} must have n_real, n_synth >= 0 and >= 1 total")
+        check_count(n_real, f"plan entry {c} n_real", 0)
+        check_count(n_synth, f"plan entry {c} n_synth", 0)
+        if n_real + n_synth < 1:
+            raise DomainError(f"plan entry {c} must have n_real + n_synth >= 1")
         rng = substream(seed, _CONTRIB_STREAM, c)
         ridx = _draw_indices(p_real, n_real, rng)
         sidx = _draw_indices(p_synth, n_synth, rng)

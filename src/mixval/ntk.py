@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import substream
-from .errors import DomainError, NumericalError, is_integer
+from .errors import DomainError, NumericalError, check_count
 
 _INIT_STREAM = "ntk-init"
 
@@ -65,10 +65,8 @@ class MLPSpec:
     def __post_init__(self) -> None:
         if len(self.layer_widths) < 2:
             raise DomainError("layer_widths needs at least (input dim, 1)")
-        if not all(map(is_integer, self.layer_widths)):
-            raise DomainError(f"layer widths must be integers, got {self.layer_widths}")
-        if any(w < 1 for w in self.layer_widths):
-            raise DomainError(f"all widths must be >= 1, got {self.layer_widths}")
+        for i, width in enumerate(self.layer_widths):
+            check_count(width, f"layer_widths[{i}]", 1)
         if self.layer_widths[-1] != 1:
             raise DomainError(f"output width must be 1, got {self.layer_widths[-1]}")
         if self.activation not in _ACTIVATIONS:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, GridError
+from .errors import DomainError, GridError, check_count
 from .longtail import MixtureSpec
 
 
@@ -397,8 +397,7 @@ def detect_breakpoints(
     8 points per decade; edge points where the smoothing window is
     truncated are excluded from the search.
     """
-    if smooth_window < 1:
-        raise DomainError(f"smooth_window must be >= 1, got {smooth_window}")
+    check_count(smooth_window, "smooth_window", 1)
     if not 0 <= min_curvature < math.inf:
         raise DomainError(f"min_curvature must be finite and >= 0, got {min_curvature}")
     density = points_per_decade(curve.sample_sizes)

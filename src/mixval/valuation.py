@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._seeds import cap_rows, check_seed, substream
-from .errors import DomainError, MixvalError, is_integer
+from .errors import DomainError, MixvalError, check_count
 from .longtail import Contributor, check_unique_ids, pool_contributors
 from .mmd import (
     _DEFAULT_SCALES,
@@ -132,8 +132,8 @@ class ValuationConfig:
             ("mmd_cap", self.mmd_cap),
             ("test_cap", self.test_cap),
         ):
-            if cap is not None and not (is_integer(cap) and cap >= 2):
-                raise DomainError(f"{name} must be an integer >= 2 or None, got {cap!r}")
+            if cap is not None:
+                check_count(cap, name, 2)
         if not self.kernel_scales or not all(
             math.isfinite(s) and s > 0 for s in self.kernel_scales
         ):
@@ -318,13 +318,10 @@ def _check_contributors(contributors: Sequence[Contributor]) -> None:
 
 def _map_contributors(fn: Callable, contributors: Sequence[Contributor], workers: int) -> list:
     # The one contributor fan-out, for score_all and train_ground_truth: a
-    # checked contributor list and an integer workers >= 1, then fn over the
+    # checked contributor list and worker count, then fn over the
     # contributors in input order, serially or on a pool of ``workers`` threads.
     _check_contributors(contributors)
-    if not is_integer(workers):
-        raise DomainError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    check_count(workers, "workers", 1)
     if workers == 1:
         return [fn(c) for c in contributors]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -410,8 +407,8 @@ def fit_weights(
         raise DomainError(f"{len(a)} term rows vs {len(t)} targets")
     if len(a) < 2:
         raise DomainError("weight fitting needs at least 2 contributors")
-    if ridge < 0:
-        raise DomainError(f"ridge must be >= 0, got {ridge}")
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
     scale = max(float(np.trace(a.T @ a)) / 4.0, 1.0)
     w = np.linalg.solve(a.T @ a + ridge * scale * np.eye(4), a.T @ t)
     return WeightFit(
@@ -458,10 +455,7 @@ class CoalitionWeighting:
     def __post_init__(self) -> None:
         if self.kind not in ("shapley", "loo"):
             raise DomainError(f"kind must be 'shapley' or 'loo', got {self.kind!r}")
-        if not (is_integer(self.mc_permutations) and self.mc_permutations >= 0):
-            raise DomainError(
-                f"mc_permutations must be an integer >= 0, got {self.mc_permutations!r}"
-            )
+        check_count(self.mc_permutations, "mc_permutations", 0)
         if self.kind == "loo" and self.mc_permutations:
             raise DomainError(
                 f"kind 'loo' takes no permutation budget, got {self.mc_permutations}"
@@ -608,8 +602,7 @@ class _PartDistances:
 
 def exact_shapley(n: int, value_fn: ValueFn) -> np.ndarray:
     """Shapley values by full coalition enumeration (n <= 12)."""
-    if n < 1:
-        raise DomainError("need at least one contributor")
+    check_count(n, "n", 1)
     if n > _EXACT_SHAPLEY_MAX:
         raise DomainError(
             f"{n} contributors exceed the exact-enumeration cap {_EXACT_SHAPLEY_MAX}; "
@@ -636,12 +629,8 @@ def sampled_shapley(
     n: int, value_fn: ValueFn, permutations: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unbiased permutation-sampling Shapley estimate with standard errors."""
-    if n < 1:
-        raise DomainError("need at least one contributor")
-    if not (is_integer(permutations) and permutations >= 1):
-        raise DomainError(
-            f"permutation sampling needs an integer mc_permutations >= 1, got {permutations!r}"
-        )
+    check_count(n, "n", 1)
+    check_count(permutations, "permutations", 1)
     rng = substream(seed, "shapley-perm")
     marginals = np.zeros((permutations, n))
     for p in range(permutations):
@@ -663,8 +652,7 @@ def sampled_shapley(
 
 def loo_values(n: int, value_fn: ValueFn) -> np.ndarray:
     """Leave-one-out values v(all) - v(all without i)."""
-    if n < 1:
-        raise DomainError("need at least one contributor")
+    check_count(n, "n", 1)
     everyone = frozenset(range(n))
     v_all = value_fn(everyone)
     return np.array([v_all - value_fn(everyone - {i}) for i in range(n)])

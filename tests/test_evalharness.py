@@ -1,6 +1,7 @@
 """Retraining ground truth, correlation estimators, and fixtures."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -82,7 +83,7 @@ def test_training_config_rejects_non_finite_values(key, value):
 @pytest.mark.parametrize("value", [2.5, 3.0, True])
 def test_training_config_rejects_non_integer_counts(key, value):
     # each passed its >= 1 check and failed later in training with a bare TypeError
-    with pytest.raises(DomainError, match="must be integers"):
+    with pytest.raises(DomainError, match=re.escape(f"{key} must be an integer, got {value!r}")):
         TrainingConfig(**{key: value})
     assert getattr(TrainingConfig(**{key: np.int64(3)}), key) == 3
 

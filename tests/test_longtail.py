@@ -241,6 +241,16 @@ def test_make_contributors_deterministic():
     assert not np.array_equal(a.real_x, c.real_x)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("noise_scale", [math.nan, math.inf, -0.1])
+def test_make_contributors_rejects_a_noise_scale_not_finite_and_nonnegative(noise_scale):
+    # NaN and inf passed a `< 0` test and failed later on the features,
+    # inf with a RuntimeWarning from the row normalisation first
+    message = f"noise_scale must be finite and >= 0, got {noise_scale}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        make_contributors([(6, 4)], small_mixture(), 4, 3, noise_scale=noise_scale)
+
+
 def test_features_unit_norm_labels_match_indices():
     [c] = make_contributors([(20, 20)], small_mixture(), feature_dim=5, seed=2)
     norms = np.linalg.norm(c.pooled_x(), axis=1)

@@ -123,7 +123,9 @@ def test_output_scale_is_order_one_at_init():
 @pytest.mark.parametrize("widths", [(3.5, 4, 1), (3, True, 1), (3, 4.0, 1), (3, "4", 1)])
 def test_spec_rejects_non_integer_widths(widths):
     # True would build a 1-unit layer, 3.5 a bare numpy TypeError later
-    with pytest.raises(DomainError, match="layer widths must be integers"):
+    at = next(i for i, w in enumerate(widths) if type(w) is not int)
+    message = f"layer_widths[{at}] must be an integer, got {widths[at]!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
         MLPSpec(layer_widths=widths)
 
 
