@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from ._seeds import check_seed, derive_seed
-from .errors import ConfigError, DomainError, MixvalError, NumericalError
+from .errors import ConfigError, DomainError, MixvalError, NumericalError, check_count
 from .evalharness import (
     TrainingConfig,
     evaluate_method,
@@ -104,12 +104,10 @@ environment:
 def _workers() -> int:
     raw = os.environ.get("MIXVAL_THREADS", "1")
     try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MIXVAL_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"MIXVAL_THREADS must be >= 1, got {n}")
-    return n
+        raw = int(raw)
+    except ValueError:
+        pass  # left a string, which _count rejects as not an integer
+    return _count(raw, "MIXVAL_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +175,16 @@ _string = _scalar(str, "a string", str)
 _boolean = _scalar(bool, "true or false", bool)
 
 
+def _count(value, key: str) -> int:
+    """Reader of a count of at least 1 by the library's count rule, whose
+    error is a ConfigError here (exit 2, not 3)."""
+    try:
+        check_count(value, key, 1)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    return value
+
+
 def _list(reader):
     """Reader of a JSON list whose entries ``reader`` checks, as a tuple."""
 
@@ -235,7 +243,7 @@ _VALUATION = _params(ValuationConfig, "seed", "weights")
 _DATA = {
     "seed": _integer, "model": _object(_MODEL),
     "contributors": _path_or({**_GENERATOR, "plan": _list(_list(_integer))}),
-    "test": _path_or({**_GENERATOR, "size": _integer}),
+    "test": _path_or({**_GENERATOR, "size": _count}),
 }
 
 
@@ -344,8 +352,6 @@ def _load_data(cfg: dict, run: RunResult):
         test_x, test_y = run.samples(Path(test))
     else:
         size = test.get("size", 200)
-        if size < 1:
-            raise ConfigError(f"test.size must be >= 1, got {size}")
         [c] = _generate(test, [(size, 0)], derive_seed(seed, "cli-test"))
         test_x, test_y = c.real_x, c.real_y
     return seed, contributors, test_x, test_y, _model_spec(cfg, test_x.shape[1])
@@ -591,7 +597,7 @@ def run_evaluate(cfg: dict, run: RunResult) -> None:
 
 
 _BENCH = {
-    "seed": _integer, "n_contributors": _integer, "samples_each": _integer,
+    "seed": _integer, "n_contributors": _count, "samples_each": _integer,
     "feature_dim": _integer, "test_size": _integer, "shift": _real,
     "model": _object(_MODEL), "training": _object(_TRAINING),
 }
@@ -603,8 +609,6 @@ def run_bench(cfg: dict, run: RunResult) -> None:
     _required(cfg, "seed")
     seed = cfg["seed"]
     n = cfg.get("n_contributors", 100)
-    if n < 1:
-        raise ConfigError(f"n_contributors must be >= 1, got {n}")
     feature_dim = cfg.get("feature_dim", _FEATURE_DIM)
     fixture = make_shift_fixture(
         pis=[round(float(p), 6) for p in np.linspace(1.0, 0.0, n)],

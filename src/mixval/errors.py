@@ -1,4 +1,4 @@
-"""Shared exception types, and the one count rule.
+"""Shared exception types, and the one count rule and real-number rule.
 
 Errors fall into two families: domain errors (inputs outside an
 operation's contract) and numerical errors (a computation that cannot
@@ -6,6 +6,7 @@ be completed reliably).  The command-line layer maps these onto
 distinct exit codes.
 """
 
+import math
 import numbers
 
 
@@ -23,6 +24,22 @@ def check_count(value, name: str, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(value, name: str, *, gt=-math.inf, ge=-math.inf, le=math.inf) -> None:
+    """The one real-number rule, for every real-valued parameter an entry
+    point takes: raise :class:`DomainError` naming ``name`` unless
+    ``value`` is a ``numbers.Real`` (numpy floats and integers too) that
+    is not a bool, is finite, and is ``> gt``, ``>= ge`` and ``<= le``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    for op, bound, inside in (
+        (">", gt, value > gt), (">=", ge, value >= ge), ("<=", le, value <= le)
+    ):
+        if not inside:
+            raise DomainError(f"{name} must be {op} {bound}, got {value}")
 
 
 class MixvalError(Exception):

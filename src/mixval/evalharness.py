@@ -15,14 +15,14 @@ import hashlib
 import logging
 import math
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ._seeds import cap_rows, check_seed, derive_seed, substream
-from .errors import DegenerateDataError, DomainError, check_count, is_integer
+from .errors import DegenerateDataError, DomainError, check_count, check_real
 from .longtail import Contributor, MixtureSpec, check_unique_ids, make_contributors
 from .ntk import MLPSpec, Model, _check_batch, backprop, init_params
 from .ntk import layer_outputs, ntk_gram
@@ -54,11 +54,8 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # the chained comparisons are False for NaN as well as for infinities
-        if not (0 < self.lr_scale < math.inf and 0 < self.lr_cap < math.inf):
-            raise DomainError("learning-rate scale and cap must be finite and > 0")
-        if not 0 < self.tol < math.inf:
-            raise DomainError(f"tol must be finite and > 0, got {self.tol}")
+        for name in ("lr_scale", "lr_cap", "tol"):
+            check_real(getattr(self, name), name, gt=0)
         for name in ("max_epochs", "eigen_cap", "restarts"):
             check_count(getattr(self, name), name, 1)
         if self.metric not in _METRICS:
@@ -67,11 +64,10 @@ class TrainingConfig:
 
     def digest(self) -> str:
         """Twelve hex digits of the sha256 of the field values, in field
-        order, as Python numbers: a numpy scalar hashes as its equal value."""
-        values = tuple(
-            int(v) if is_integer(v) else float(v) if isinstance(v, float) else v
-            for v in astuple(self)
-        )
+        order, each as its annotated Python type: equal configs hash alike,
+        whether a value is a numpy scalar or an int in a float field."""
+        cast = {"float": float, "int": int, "str": str}
+        values = tuple(cast[f.type](getattr(self, f.name)) for f in fields(self))
         return hashlib.sha256(repr(values).encode()).hexdigest()[:12]
 
 
@@ -93,10 +89,9 @@ class GroundTruth:
     converged: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.diverged and not 0.0 <= self.test_metric <= 1.0:
-            raise DomainError(
-                f"test metric must be in [0, 1], got {self.test_metric}"
-            )
+        # a diverged record carries a placeholder, not a metric
+        bounds = {} if self.diverged else {"ge": 0, "le": 1}
+        check_real(self.test_metric, "test_metric", **bounds)
         if self.epochs is not None:
             check_count(self.epochs, "epochs", 1)
         if self.converged is not None:
@@ -455,22 +450,19 @@ def make_shift_fixture(
     check_count(test_size, "test_size", 2)
 
     def per_contributor(value, name: str) -> list[float]:
-        out = (
-            [float(value)] * len(pis)
-            if np.isscalar(value)
-            else [float(v) for v in value]
-        )
-        if len(out) != len(pis):
-            raise DomainError(f"{len(out)} {name} values for {len(pis)} contributors")
-        return out
+        values = [value] * len(pis) if np.isscalar(value) else list(value)
+        if len(values) != len(pis):
+            raise DomainError(f"{len(values)} {name} values for {len(pis)} contributors")
+        for v in values:
+            check_real(v, name)
+        return [float(v) for v in values]
 
     shifts = per_contributor(shift, "shift")
     noises = per_contributor(label_noise, "label_noise")
     mixture = MixtureSpec.power_law()
     plan = []
-    for pi in pis:
-        if not 0.0 <= pi <= 1.0:
-            raise DomainError(f"pi must be in [0, 1], got {pi}")
+    for i, pi in enumerate(pis):
+        check_real(pi, f"pis[{i}]", ge=0, le=1)
         n_real = int(round(pi * samples_each))
         plan.append((n_real, samples_each - n_real))
     if paired:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 import uuid
 from collections import Counter
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._seeds import substream
-from .errors import ConfigError, DomainError, check_count, is_integer
+from .errors import ConfigError, DomainError, check_count, check_real, is_integer
 
 # substream tags under the root seed
 _PROTO_STREAM = 0
@@ -32,10 +31,9 @@ _GOLDEN = 0.6180339887498949  # frac(golden ratio), spreads labels over [0, 1)
 
 
 def _check_law(beta: float, **sizes: int) -> None:
-    # The rules of a power law, full or truncated, and so of ScalingParams: 1 < beta < inf,
-    # and integer sizes, checked before 1 <= each size <= the next one.
-    if not 1 < beta < math.inf:
-        raise DomainError(f"beta must be finite and > 1, got {beta}")
+    # The rules of a power law, full or truncated, and so of ScalingParams; the sizes are
+    # checked as integers before 1 <= each size <= the next one.
+    check_real(beta, "beta", gt=1)
     got = ", ".join(f"{name}={v!r}" for name, v in sizes.items())
     values = tuple(sizes.values())
     if not all(map(is_integer, values)):
@@ -87,8 +85,7 @@ class MixtureSpec:
     synth_dist: TruncatedPowerLawSpec
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.pi <= 1.0:
-            raise DomainError(f"pi must be in [0, 1], got {self.pi}")
+        check_real(self.pi, "pi", ge=0, le=1)
         if self.real_dist.beta != self.synth_dist.beta:
             raise DomainError("real and synthetic distributions must share beta")
         if self.real_dist.support_max != self.synth_dist.support_max:
@@ -278,8 +275,7 @@ def make_contributors(
     only on (plan, mixture, feature_dim, seed).
     """
     check_count(feature_dim, "feature_dim", 1)
-    if not (math.isfinite(noise_scale) and noise_scale >= 0):
-        raise DomainError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    check_real(noise_scale, "noise_scale", ge=0)
     p_real = mixture.real_dist.probabilities()
     p_synth = mixture.synth_dist.probabilities()
     out = []

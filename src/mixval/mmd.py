@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, check_real
 
 # default multi-scale bank: bandwidth multipliers around the median heuristic
 _DEFAULT_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -45,8 +45,7 @@ class KernelSpec:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise DomainError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        check_real(self.bandwidth, "bandwidth", gt=0)
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,8 @@ class MultiKernelSpec:
             raise DomainError(
                 f"{len(self.kernels)} kernels but {len(self.weights)} weights"
             )
-        if not all(w >= 0 for w in self.weights):
-            raise DomainError(f"kernel weights must be nonnegative, got {self.weights}")
+        for i, w in enumerate(self.weights):
+            check_real(w, f"weights[{i}]", ge=0)
         if not abs(math.fsum(self.weights) - 1.0) <= 1e-12:
             raise DomainError("kernel weights must sum to 1 within 1e-12")
 
@@ -76,7 +75,7 @@ class MultiKernelSpec:
         kernels = tuple(KernelSpec(b) for b in bandwidths)
         if weights is None:  # an empty bank gets no weights, and __post_init__ rejects it
             weights = (1.0 / len(kernels),) * len(kernels) if kernels else ()
-        return cls(kernels=kernels, weights=tuple(float(w) for w in weights))
+        return cls(kernels=kernels, weights=tuple(weights))
 
     @classmethod
     def median_bank(
@@ -363,7 +362,8 @@ def mmd(
     per_kernel = [
         (a - sx) / mx + (b - sy) / my - 2.0 * (c / mxy) for a, b, c in zip(sxx, syy, sxy)
     ]
-    squared = math.fsum(w * sq for w, sq in zip(spec.weights, per_kernel))
+    # float(w): a numpy float32 weight would round each product to float32
+    squared = math.fsum(float(w) * sq for w, sq in zip(spec.weights, per_kernel))
     return DiscrepancyEstimate(
         value=math.sqrt(max(squared, 0.0)),
         squared=squared,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import substream
-from .errors import DomainError, NumericalError, check_count
+from .errors import DomainError, NumericalError, check_count, check_real
 
 _INIT_STREAM = "ntk-init"
 
@@ -375,8 +375,7 @@ def bound_term(
         raise DomainError("residuals must be finite")
     if ridge is None:
         ridge = default_ridge(gram)
-    if not (math.isfinite(ridge) and ridge >= 0):
-        raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
+    check_real(ridge, "ridge", ge=0)
     j = gram.jacobian
     if j is not None and ridge == 0:
         raise NumericalError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, GridError, check_count
+from .errors import DomainError, GridError, check_count, check_real
 from .longtail import MixtureSpec
 
 
@@ -56,17 +56,10 @@ class ScalingParams:
     support_max: int = 100_000
 
     def __post_init__(self) -> None:
-        reals = (self.a, self.alpha, self.b, self.lam, self.beta, self.pi)
-        if not all(math.isfinite(v) for v in reals):
-            raise DomainError(f"a, alpha, b, lam, beta and pi must be finite, got {reals}")
-        if not self.a > 0:
-            raise DomainError(f"a must be > 0, got {self.a}")
-        if not (self.alpha >= 0 and self.lam >= 0):
-            raise DomainError("alpha and lam must be >= 0")
-        if not self.b >= 0:
-            raise DomainError(f"b must be >= 0, got {self.b}")
-        if not 0 < self.pi <= 1:
-            raise DomainError(f"pi must be in (0, 1], got {self.pi}")
+        check_real(self.a, "a", gt=0)
+        for name in ("alpha", "b", "lam"):
+            check_real(getattr(self, name), name, ge=0)
+        check_real(self.pi, "pi", gt=0, le=1)
         self.mixture()  # the generator's rules for beta, cutoff and support_max
         i = self._peak_indexes()
         rho, gam = self.rho(i), self.gamma(i)
@@ -398,8 +391,7 @@ def detect_breakpoints(
     truncated are excluded from the search.
     """
     check_count(smooth_window, "smooth_window", 1)
-    if not 0 <= min_curvature < math.inf:
-        raise DomainError(f"min_curvature must be finite and >= 0, got {min_curvature}")
+    check_real(min_curvature, "min_curvature", ge=0)
     density = points_per_decade(curve.sample_sizes)
     if density < 8.0:
         raise GridError(

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._seeds import cap_rows, check_seed, substream
-from .errors import DomainError, MixvalError, check_count
+from .errors import DomainError, MixvalError, check_count, check_real
 from .longtail import Contributor, check_unique_ids, pool_contributors
 from .mmd import (
     _DEFAULT_SCALES,
@@ -49,8 +49,7 @@ class ValuationWeights:
 
     def __post_init__(self) -> None:
         for name, w in self.as_dict().items():
-            if not math.isfinite(w):
-                raise DomainError(f"weight {name} must be finite, got {w}")
+            check_real(w, name)
 
     def as_array(self) -> np.ndarray:
         return np.array(list(self.as_dict().values()))
@@ -134,12 +133,12 @@ class ValuationConfig:
         ):
             if cap is not None:
                 check_count(cap, name, 2)
-        if not self.kernel_scales or not all(
-            math.isfinite(s) and s > 0 for s in self.kernel_scales
-        ):
-            raise DomainError("kernel_scales must be finite, positive and nonempty")
-        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0):
-            raise DomainError(f"ridge must be finite and >= 0, got {self.ridge}")
+        if not self.kernel_scales:
+            raise DomainError("kernel_scales must be nonempty")
+        for i, s in enumerate(self.kernel_scales):
+            check_real(s, f"kernel_scales[{i}]", gt=0)
+        if self.ridge is not None:
+            check_real(self.ridge, "ridge", ge=0)
         check_seed(self.seed)  # here, not per contributor: only a cap that fires draws
 
 
@@ -407,8 +406,7 @@ def fit_weights(
         raise DomainError(f"{len(a)} term rows vs {len(t)} targets")
     if len(a) < 2:
         raise DomainError("weight fitting needs at least 2 contributors")
-    if not (math.isfinite(ridge) and ridge >= 0):
-        raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
+    check_real(ridge, "ridge", ge=0)
     scale = max(float(np.trace(a.T @ a)) / 4.0, 1.0)
     w = np.linalg.solve(a.T @ a + ridge * scale * np.eye(4), a.T @ t)
     return WeightFit(

@@ -294,8 +294,9 @@ def test_config_schemas_match_library_fields():
     assert set(cli._BREAKPOINTS) == {"smooth_window", "min_curvature"}
 
 
-def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MIXVAL_THREADS", "many")
+@pytest.mark.parametrize("threads", ["many", "2.5"])
+def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("MIXVAL_THREADS", threads)
     cfg = write_config(tmp_path, "val.json", value_payload())
     code, _, err = run_cli(
         capsys, "value", "--config", str(cfg), "--out", str(tmp_path / "out")
@@ -303,8 +304,9 @@ def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "MIXVAL_THREADS" in err
 
 
-def test_zero_thread_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MIXVAL_THREADS", "0")
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_zero_thread_env_exits_2(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("MIXVAL_THREADS", threads)
     cfg = write_config(tmp_path, "val.json", value_payload())
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, "value", "--config", str(cfg), "--out", str(out))

@@ -1,6 +1,8 @@
 """The count rule, ``errors.check_count``, at every entry point that takes a
-size, count or index."""
+size, count or index, and the real-number rule, ``errors.check_real``, at
+every entry point that takes a real-valued parameter."""
 
+import math
 import re
 
 import numpy as np
@@ -17,17 +19,21 @@ from mixval.evalharness import (
 )
 from mixval.longtail import (
     MixtureSpec,
+    PowerLawSpec,
     knowledge_prototype,
     make_contributors,
     pmf,
     sample_knowledge,
 )
-from mixval.ntk import MLPSpec, Model
+from mixval.mmd import KernelSpec, MultiKernelSpec
+from mixval.ntk import MLPSpec, Model, bound_term, ntk_gram
 from mixval.scaling import ScalingParams, detect_breakpoints, log_grid, sweep
 from mixval.valuation import (
     CoalitionWeighting,
     ValuationConfig,
+    ValuationWeights,
     exact_shapley,
+    fit_weights,
     loo_values,
     sampled_shapley,
     score_all,
@@ -46,10 +52,10 @@ def _score_all(workers) -> None:
     score_all([c], test.real_x, Model.at_init(MLPSpec((3, 2, 1))), ValuationConfig(), workers)
 
 
-def _detect(smooth_window) -> None:
+def _detect(**arguments) -> None:
     params = ScalingParams(a=0.9, alpha=0.3, b=0.1, lam=0.5, beta=1.5, cutoff=20, pi=0.5,
                            support_max=1000)
-    detect_breakpoints(sweep(params, log_grid(1e2, 1e4, 8)), smooth_window=smooth_window)
+    detect_breakpoints(sweep(params, log_grid(1e2, 1e4, 8)), **arguments)
 
 
 # (entry point, the field its message names, the least value it takes, a call with the value)
@@ -79,7 +85,7 @@ COUNTS = [
      lambda v: make_shift_fixture([0.5], v, feature_dim=3, test_size=4)),
     ("make_shift_fixture.test_size", "test_size", 2,
      lambda v: make_shift_fixture([0.5], 4, feature_dim=3, test_size=v)),
-    ("detect_breakpoints", "smooth_window", 1, _detect),
+    ("detect_breakpoints", "smooth_window", 1, lambda v: _detect(smooth_window=v)),
     ("exact_shapley", "n", 1, lambda v: exact_shapley(v, _game)),
     ("sampled_shapley.n", "n", 1, lambda v: sampled_shapley(v, _game, 2)),
     ("loo_values", "n", 1, lambda v: loo_values(v, _game)),
@@ -109,3 +115,99 @@ def test_counts_reject_floats_bools_and_values_below_the_least(name, least, call
 @ENTRY_POINTS
 def test_counts_take_numpy_integers(name, least, call):
     call(np.int64(least))
+
+
+def _bound_term(ridge) -> None:
+    spec = MLPSpec((3, 2, 1))
+    x = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    bound_term(ntk_gram(spec, Model.at_init(spec).params, x), np.ones(4), ridge)
+
+
+def _scaling_params(**field) -> None:
+    good = dict(a=1.0, alpha=0.5, b=0.5, lam=1.0, beta=1.5, cutoff=10, pi=0.5, support_max=1000)
+    ScalingParams(**{**good, **field})
+
+
+def _shift_fixture(pis=(0.5, 0.5), **arguments) -> None:
+    make_shift_fixture(list(pis), 4, feature_dim=3, test_size=4, **arguments)
+
+
+# (entry point, the field its message names, its bounds as check_real takes them,
+#  an integer inside them, a call with the value)
+REALS = [
+    ("PowerLawSpec.beta", "beta", {"gt": 1}, 2, lambda v: PowerLawSpec(v, 100)),
+    ("MixtureSpec.pi", "pi", {"ge": 0, "le": 1}, 1, lambda v: MixtureSpec.power_law(pi=v)),
+    ("make_contributors.noise_scale", "noise_scale", {"ge": 0}, 0,
+     lambda v: make_contributors([(4, 2)], MIXTURE, 3, 0, noise_scale=v)),
+    ("KernelSpec.bandwidth", "bandwidth", {"gt": 0}, 1, KernelSpec),
+    ("MultiKernelSpec.weights", "weights[1]", {"ge": 0}, 0,
+     lambda v: MultiKernelSpec.from_bandwidths([1.0, 2.0], [1.0, v])),
+    ("bound_term.ridge", "ridge", {"ge": 0}, 1, _bound_term),
+    *[
+        (f"TrainingConfig.{name}", name, {"gt": 0}, 1, lambda v, k=name: TrainingConfig(**{k: v}))
+        for name in ("lr_scale", "lr_cap", "tol")
+    ],
+    ("GroundTruth.test_metric", "test_metric", {"ge": 0, "le": 1}, 1,
+     lambda v: GroundTruth("c0", v, "d")),
+    ("GroundTruth.test_metric.diverged", "test_metric", {}, 5,
+     lambda v: GroundTruth("c0", v, "d", diverged=True)),
+    ("make_shift_fixture.pis", "pis[1]", {"ge": 0, "le": 1}, 1,
+     lambda v: _shift_fixture(pis=(0.5, v))),
+    ("make_shift_fixture.shift", "shift", {}, 1, lambda v: _shift_fixture(shift=v)),
+    ("make_shift_fixture.label_noise", "label_noise", {}, 1,
+     lambda v: _shift_fixture(label_noise=[0.0, v])),
+    ("ScalingParams.a", "a", {"gt": 0}, 1, lambda v: _scaling_params(a=v)),
+    *[
+        (f"ScalingParams.{name}", name, {"ge": 0}, inside,
+         lambda v, k=name: _scaling_params(**{k: v}))
+        for name, inside in (("alpha", 1), ("b", 0), ("lam", 1))
+    ],
+    ("ScalingParams.pi", "pi", {"gt": 0, "le": 1}, 1, lambda v: _scaling_params(pi=v)),
+    ("detect_breakpoints", "min_curvature", {"ge": 0}, 0, lambda v: _detect(min_curvature=v)),
+    *[
+        (f"ValuationWeights.{name}", name, {}, -3, lambda v, k=name: ValuationWeights(**{k: v}))
+        for name in ("w1", "w2", "w3", "w4")
+    ],
+    ("ValuationConfig.kernel_scales", "kernel_scales[1]", {"gt": 0}, 1,
+     lambda v: ValuationConfig(kernel_scales=(1.0, v))),
+    ("ValuationConfig.ridge", "ridge", {"ge": 0}, 0, lambda v: ValuationConfig(ridge=v)),
+    ("fit_weights", "ridge", {"ge": 0}, 1,
+     lambda v: fit_weights(np.ones((3, 4)) + np.eye(4)[:3], np.ones(3), ridge=v)),
+]
+_SYMBOLS = {"gt": ">", "ge": ">=", "le": "<="}
+# the value just past each bound: the bound itself when strict, else the next float out
+_PAST = {"gt": lambda b: b, "ge": lambda b: math.nextafter(b, -math.inf),
+         "le": lambda b: math.nextafter(b, math.inf)}
+
+
+def _rejections(name: str, bounds: dict):
+    yield "bool", True, f"{name} must be a real number, got True"
+    yield "str", "x", f"{name} must be a real number, got 'x'"
+    yield "nan", math.nan, f"{name} must be finite, got nan"
+    yield "inf", math.inf, f"{name} must be finite, got inf"
+    for key, bound in bounds.items():
+        past = _PAST[key](bound)
+        yield key, past, f"{name} must be {_SYMBOLS[key]} {bound}, got {past}"
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        pytest.param(call, value, message, id=f"{entry}-{case}")
+        for entry, name, bounds, _, call in REALS
+        for case, value, message in _rejections(name, bounds)
+    ],
+)
+def test_reals_reject_bools_strings_non_finite_values_and_values_past_a_bound(
+    call, value, message
+):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.int64])
+@pytest.mark.parametrize(
+    "inside, call", [row[3:] for row in REALS], ids=[row[0] for row in REALS]
+)
+def test_reals_take_numpy_floats_and_integers(inside, call, kind):
+    call(kind(inside))

@@ -69,6 +69,8 @@ def test_training_config_validation_and_digest():
         seed=5, restarts=3, metric="one_minus_loss", max_epochs=800, lr_scale=0.2
     )
     assert tuned.digest() == "e2a2b01f50aa"
+    # an int in a float field hashes as the equal float
+    assert TrainingConfig(lr_cap=1).digest() == TrainingConfig(lr_cap=1.0).digest()
 
 
 @pytest.mark.parametrize("key", ["lr_scale", "lr_cap", "tol"])
@@ -97,8 +99,9 @@ def test_training_config_rejects_a_seed_substream_cannot_take(seed):
 
 @pytest.mark.parametrize(
     "numpy_field",
-    [{"max_epochs": np.int64(5000)}, {"lr_scale": np.float64(0.1)}, {"seed": np.int64(0)}],
-    ids=["max_epochs", "lr_scale", "seed"],
+    [{"max_epochs": np.int64(5000)}, {"lr_scale": np.float64(0.1)}, {"seed": np.int64(0)},
+     {"lr_cap": np.float32(0.5)}],
+    ids=["max_epochs", "lr_scale", "seed", "lr_cap"],
 )
 def test_training_config_digest_hashes_numpy_scalars_as_python_numbers(numpy_field):
     # equal configs give equal config_digest columns, whatever the scalar type

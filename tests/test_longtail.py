@@ -246,7 +246,8 @@ def test_make_contributors_deterministic():
 def test_make_contributors_rejects_a_noise_scale_not_finite_and_nonnegative(noise_scale):
     # NaN and inf passed a `< 0` test and failed later on the features,
     # inf with a RuntimeWarning from the row normalisation first
-    message = f"noise_scale must be finite and >= 0, got {noise_scale}"
+    shape = ">= 0" if noise_scale < 0 else "finite"
+    message = f"noise_scale must be {shape}, got {noise_scale}"
     with pytest.raises(DomainError, match=re.escape(message)):
         make_contributors([(6, 4)], small_mixture(), 4, 3, noise_scale=noise_scale)
 

@@ -332,6 +332,10 @@ def test_multi_kernel_is_weighted_sum_of_single_kernels():
     combined = mmd(x, y, bank, "biased").squared
     parts = [mmd(x, y, single_kernel(b), "biased").squared for b in bandwidths]
     assert combined == pytest.approx(math.fsum(w * p for w, p in zip(weights, parts)), abs=1e-15)
+    # numpy weights weigh as the equal Python floats, to the bit
+    halves = MultiKernelSpec.from_bandwidths(bandwidths[:2], [np.float32(0.5)] * 2)
+    uniform = MultiKernelSpec.from_bandwidths(bandwidths[:2])
+    assert mmd(x, y, halves).squared == mmd(x, y, uniform).squared
 
 
 def test_mmd_detects_mean_shift():

@@ -71,7 +71,7 @@ def test_params_validation():
 @pytest.mark.parametrize(
     "field, bad, message",
     [("a", 0.0, "a must be > 0"), ("a", -1.0, "a must be > 0"),
-     ("alpha", -0.5, "alpha and lam must be >= 0"), ("lam", -1.0, "alpha and lam must be >= 0"),
+     ("alpha", -0.5, "alpha must be >= 0"), ("lam", -1.0, "lam must be >= 0"),
      ("b", -0.1, "b must be >= 0")],
 )
 def test_params_reject_out_of_range_curve_coefficients(field, bad, message):

@@ -266,7 +266,7 @@ def test_fit_weights_rejects_a_ridge_that_is_not_finite(
     ridge, contributors_small, test_x_small, model_small
 ):
     # NaN failed as a non-finite fitted weight, inf with a RuntimeWarning first
-    message = f"ridge must be finite and >= 0, got {ridge}"
+    message = f"ridge must be finite, got {ridge}"
     with pytest.raises(DomainError, match=re.escape(message)):
         fit_weights(np.ones((3, 4)) + np.eye(4)[:3], np.ones(3), ridge=ridge)
     scores, _ = score_all(contributors_small, test_x_small, model_small, ValuationConfig(seed=1))
