@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from ._seeds import check_seed, derive_seed
-from .errors import ConfigError, DomainError, MixvalError, NumericalError, check_count
+from .errors import ConfigError, DomainError, MixvalError, NumericalError, check_count, check_reals
 from .evalharness import (
     TrainingConfig,
     evaluate_method,
@@ -270,9 +270,8 @@ def read_samples(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
             x, y = np.array([[float(v) for v in r] for r in rows]), None
         except ValueError as exc:
             raise DomainError(f"sample file {path} has malformed rows: {exc}") from exc
-    if not np.all(np.isfinite(x)) or (y is not None and not np.all(np.isfinite(y))):
-        raise DomainError(f"sample file {path} holds non-finite values")
-    return x, y
+    x = check_reals(x, f"sample file {path} features")
+    return x, None if y is None else check_reals(y, f"sample file {path} labels")
 
 
 @dataclass
@@ -471,7 +470,9 @@ def run_gram(cfg: dict, run: RunResult) -> None:
     run.json("bound.json", payload)
 
 
-_VALUE = {**_DATA, "weights": _object(_WEIGHTS), **_VALUATION, "fit_weights": _boolean}
+# the keys that _prepare_value reads, for value and marginal
+_PREPARE = {**_DATA, "weights": _object(_WEIGHTS), **_VALUATION}
+_VALUE = {**_PREPARE, "fit_weights": _boolean}
 
 
 def _prepare_value(cfg: dict, run: RunResult):
@@ -509,7 +510,7 @@ def run_value(cfg: dict, run: RunResult) -> None:
     run.json("value_summary.json", summary)
 
 
-_MARGINAL = {**_VALUE, "weighting": _string, "permutations": _integer}
+_MARGINAL = {**_PREPARE, "weighting": _string, "permutations": _integer}
 
 
 def run_marginal(cfg: dict, run: RunResult) -> None:

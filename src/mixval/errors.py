@@ -1,4 +1,4 @@
-"""Shared exception types, and the one count rule and real-number rule.
+"""Shared exception types and the input rules: counts, real numbers, arrays.
 
 Errors fall into two families: domain errors (inputs outside an
 operation's contract) and numerical errors (a computation that cannot
@@ -8,6 +8,8 @@ distinct exit codes.
 
 import math
 import numbers
+
+import numpy as np
 
 
 def is_integer(value) -> bool:
@@ -40,6 +42,22 @@ def check_real(value, name: str, *, gt=-math.inf, ge=-math.inf, le=math.inf) -> 
     ):
         if not inside:
             raise DomainError(f"{name} must be {op} {bound}, got {value}")
+
+
+def check_reals(values, name: str, *, gt=-math.inf, ge=-math.inf, le=math.inf) -> np.ndarray:
+    """The array form of :func:`check_real`, for every data array an entry
+    point takes: raise its :class:`DomainError` for the first entry that
+    fails it, else return the values as a float array.  Each caller checks
+    the shape it needs."""
+    raw = np.asarray(values)
+    if raw.dtype.kind in "iuf":  # numbers, not bools: every entry is tested at once
+        a = np.asarray(raw, dtype=float)
+        bounds = ((np.greater, gt), (np.greater_equal, ge), (np.less_equal, le))
+        if np.isfinite(a).all() and all(op(a, b).all() for op, b in bounds if math.isfinite(b)):
+            return a
+    for value in raw.ravel().tolist():
+        check_real(value, name, gt=gt, ge=ge, le=le)
+    return np.asarray(raw, dtype=float)
 
 
 class MixvalError(Exception):

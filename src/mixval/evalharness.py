@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._seeds import cap_rows, check_seed, derive_seed, substream
-from .errors import DegenerateDataError, DomainError, check_count, check_real
+from .errors import DegenerateDataError, DomainError, check_count, check_real, check_reals
 from .longtail import Contributor, MixtureSpec, check_unique_ids, make_contributors
 from .ntk import MLPSpec, Model, _check_batch, backprop, init_params
 from .ntk import layer_outputs, ntk_gram
@@ -138,7 +138,7 @@ def train_model(
     views of the one parameter vector this run owns.
     """
     x = _check_batch(spec, x)
-    y = np.asarray(y, dtype=float).ravel()
+    y = check_reals(y, "labels").ravel()
     if len(x) != len(y) or len(y) == 0:
         raise DomainError("training needs matching nonempty inputs and labels")
     params = init_params(spec)
@@ -169,7 +169,7 @@ def accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of test points with |f(x) - y| < 0.5."""
     if len(y) == 0:
         raise DomainError("accuracy of an empty test set is undefined")
-    return float(np.mean(np.abs(model.predict(x) - np.asarray(y).ravel()) < 0.5))
+    return float(np.mean(np.abs(model.predict(x) - check_reals(y, "labels").ravel()) < 0.5))
 
 
 def _metric(model: Model, x, y, kind: str) -> float:
@@ -196,6 +196,7 @@ def train_ground_truth(
     correlations; their epoch counts cover the restarts up to the one
     that diverged.
     """
+    test_x, test_y = check_reals(test_x, "test_x"), check_reals(test_y, "test_y")
     digest = config.digest()
 
     def one(c: Contributor) -> GroundTruth:
@@ -222,14 +223,11 @@ def train_ground_truth(
 
 
 def _validate_pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(xs, dtype=float).ravel()
-    y = np.asarray(ys, dtype=float).ravel()
+    x, y = check_reals(xs, "xs").ravel(), check_reals(ys, "ys").ravel()
     if len(x) != len(y):
         raise DomainError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise DomainError("correlation needs at least 2 points")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError("correlation inputs must be finite")
     return x, y
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._seeds import substream
-from .errors import ConfigError, DomainError, check_count, check_real, is_integer
+from .errors import ConfigError, DomainError, check_count, check_real, check_reals, is_integer
 
 # substream tags under the root seed
 _PROTO_STREAM = 0
@@ -200,14 +200,10 @@ class Contributor:
         ):
             if x.ndim != 2 or len(x) != len(y) or len(y) != len(idx):
                 raise DomainError(f"contributor {self.id!r}: inconsistent {name} arrays")
+            check_reals(y, f"contributor {self.id!r}: {name} labels", ge=0, le=1)
+            check_reals(x, f"contributor {self.id!r}: {name} features")
         if self.real_x.shape[1] != self.synth_x.shape[1]:  # an empty part too
             raise DomainError(f"contributor {self.id!r}: feature dims differ")
-        for x, y in ((self.real_x, self.real_y), (self.synth_x, self.synth_y)):
-            # comparisons with NaN are False, so NaN labels fail this test too
-            if not np.all((y >= 0.0) & (y <= 1.0)):
-                raise DomainError(f"contributor {self.id!r}: labels outside [0, 1]")
-            if not np.all(np.isfinite(x)):
-                raise DomainError(f"contributor {self.id!r}: features must be finite")
 
     @property
     def n_real(self) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DegenerateDataError, DomainError, check_real
+from .errors import DegenerateDataError, DomainError, check_real, check_reals
 
 # default multi-scale bank: bandwidth multipliers around the median heuristic
 _DEFAULT_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -250,17 +250,15 @@ def _within_shape(block: np.ndarray, n: int) -> tuple[int, ...]:
 
 
 def _sample_sets(x: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    # X and Y as 2-d float arrays of one feature dim and finite points
-    x, y = _as_matrix(x, "X"), _as_matrix(y, "Y")
+    # X and Y as 2-d float arrays of one feature dim
+    x, y = _as_matrix(x, f"{what} X"), _as_matrix(y, f"{what} Y")
     if x.shape[1] != y.shape[1]:
         raise DomainError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise DomainError(f"{what} needs finite points")
     return x, y
 
 
 def _as_matrix(v: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    a = check_reals(v, name)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import substream
-from .errors import DomainError, NumericalError, check_count, check_real
+from .errors import DomainError, NumericalError, check_count, check_real, check_reals
 
 _INIT_STREAM = "ntk-init"
 
@@ -125,7 +125,7 @@ def init_params(spec: MLPSpec) -> np.ndarray:
 
 
 def _check_batch(spec: MLPSpec, x: np.ndarray) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
+    a = check_reals(x, "inputs")
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2 or a.shape[1] != spec.input_dim:
@@ -368,11 +368,9 @@ def bound_term(
     is cheaper there and rounds less.  Above P, K has rank <= P < n,
     so ridge 0 is singular.
     """
-    r = np.asarray(residuals, dtype=float).ravel()
+    r = check_reals(residuals, "residuals").ravel()
     if len(r) != gram.n:
         raise DomainError(f"{len(r)} residuals for a {gram.n}-point Gram matrix")
-    if not np.all(np.isfinite(r)):
-        raise DomainError("residuals must be finite")
     if ridge is None:
         ridge = default_ridge(gram)
     check_real(ridge, "ridge", ge=0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, GridError, check_count, check_real
+from .errors import DomainError, GridError, check_count, check_real, check_reals
 from .longtail import MixtureSpec
 
 
@@ -134,16 +134,9 @@ def expected_test_error_exact(
     so a sweep and its breakpoint analysis build the support-sized arrays
     once.
     """
-    counts = np.asarray(n, dtype=float)
+    counts = check_reals(n, "n", ge=0)
     if counts.ndim > 1:
-        raise DomainError(
-            f"sample counts must be a scalar or a 1-d array, got shape {counts.shape}"
-        )
-    bad = ~(np.isfinite(counts) & (counts >= 0))
-    if bad.any():
-        raise DomainError(
-            f"sample count must be finite and >= 0, got {counts[bad].flat[0]}"
-        )
+        raise DomainError(f"n must be a scalar or a 1-d array, got shape {counts.shape}")
     mixture = params.mixture()
     p = mixture.real_dist.probabilities()
     q = mixture.pi * p + (1.0 - mixture.pi) * mixture.synth_dist.probabilities()
@@ -211,8 +204,7 @@ def phase_closed_form(
         raise DomainError("the plateau regime has no closed-form expression")
     if phase not in (1, 3):
         raise DomainError(f"phase must be 1 or 3, got {phase}")
-    if not n >= 1:
-        raise DomainError(f"closed forms require n >= 1, got {n}")
+    check_real(n, "n", ge=1)
     a, b, k = params.a, params.b, float(params.cutoff)
     e_obs = (1.0 - params.alpha - params.beta) / params.beta
     e_un = (1.0 - params.lam - params.beta) / params.beta
@@ -246,10 +238,9 @@ def upper_incomplete_gamma(s: float, x: float) -> float:
     Computed as scipy's regularized ``gammaincc(s, x) * Gamma(s)``, which
     holds to near machine precision on s in (0, ~170), x >= 0.
     """
-    if not s > 0:
-        raise DomainError(f"s must be > 0, got {s}")
-    if not x >= 0:
-        raise DomainError(f"x must be >= 0, got {x}")
+    check_real(s, "s", gt=0)
+    if not (isinstance(x, (float, np.floating)) and x == math.inf):  # the integral is 0 there
+        check_real(x, "x", ge=0)
     from scipy import special  # loaded on first use: the package needs it nowhere else
 
     return float(special.gammaincc(s, x)) * math.gamma(s)
@@ -270,6 +261,8 @@ class PhaseCurve:
     params: ScalingParams
 
     def __post_init__(self) -> None:
+        for name, bounds in (("sample_sizes", {"gt": 0}), ("errors", {})):
+            object.__setattr__(self, name, check_reals(getattr(self, name), name, **bounds))
         n, e = self.sample_sizes, self.errors
         if n.ndim != 1 or e.shape != n.shape:
             raise DomainError("sample_sizes and errors must be matching 1-d arrays")
@@ -277,8 +270,6 @@ class PhaseCurve:
             raise DomainError("a phase curve needs at least two grid points")
         if np.any(np.diff(n) <= 0):
             raise DomainError("sample sizes must be strictly ascending")
-        if np.any(n <= 0):
-            raise DomainError("sample sizes must be positive")
 
     def phase_labels(self, c1: float = 1.0, c2: float = 1.0) -> list[str]:
         """Regime label per grid point (boundaries per c1/c2 slack factors)."""
@@ -303,7 +294,7 @@ class PhaseCurve:
         mask = (self.sample_sizes >= n_lo) & (self.sample_sizes <= n_hi)
         if mask.sum() < 2:
             raise GridError(f"fewer than two grid points inside [{n_lo:g}, {n_hi:g}]")
-        ln = np.log(self.sample_sizes[mask].astype(float))
+        ln = np.log(self.sample_sizes[mask])
         le = np.log(self.reducible_errors()[mask])
         return float(np.mean(np.abs(np.diff(le) / np.diff(ln))))
 
@@ -315,10 +306,11 @@ def log_grid(n_min: float, n_max: float, points_per_decade: int) -> np.ndarray:
     the log spacing, and breakpoint detection divides by the spacing
     squared, which would amplify the perturbation into curvature noise.
     """
-    if not 1 <= n_min < n_max < math.inf:
-        raise DomainError(f"need 1 <= n_min < n_max < inf, got {n_min} and {n_max}")
-    if not points_per_decade >= 1:
-        raise DomainError(f"points_per_decade must be >= 1, got {points_per_decade}")
+    check_real(n_min, "n_min", ge=1)
+    check_real(n_max, "n_max", ge=1)
+    if not n_min < n_max:
+        raise DomainError(f"need n_min < n_max, got {n_min} and {n_max}")
+    check_count(points_per_decade, "points_per_decade", 1)
     decades = math.log10(n_max / n_min)
     count = max(2, int(round(decades * points_per_decade)) + 1)
     return np.logspace(math.log10(n_min), math.log10(n_max), count)
@@ -326,8 +318,8 @@ def log_grid(n_min: float, n_max: float, points_per_decade: int) -> np.ndarray:
 
 def sweep(params: ScalingParams, sample_sizes: np.ndarray) -> PhaseCurve:
     """Evaluate the exact oracle over an ascending grid of sample sizes."""
-    n = np.asarray(sample_sizes, dtype=float)
-    return PhaseCurve(sample_sizes=n, errors=expected_test_error_exact(params, n), params=params)
+    errors = expected_test_error_exact(params, sample_sizes)
+    return PhaseCurve(sample_sizes=sample_sizes, errors=errors, params=params)
 
 
 @dataclass(frozen=True)
@@ -398,7 +390,7 @@ def detect_breakpoints(
             f"grid resolves {density:.1f} points per decade; breakpoint "
             "detection needs at least 8"
         )
-    log_n = np.log10(curve.sample_sizes.astype(float))
+    log_n = np.log10(curve.sample_sizes)
     log_e = np.log10(curve.reducible_errors())
     smooth = _moving_average(log_e, smooth_window)
     d2 = _second_derivative(log_n, smooth)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._seeds import cap_rows, check_seed, substream
-from .errors import DomainError, MixvalError, check_count, check_real
+from .errors import DomainError, MixvalError, check_count, check_real, check_reals
 from .longtail import Contributor, check_unique_ids, pool_contributors
 from .mmd import (
     _DEFAULT_SCALES,
@@ -145,7 +145,7 @@ class ValuationConfig:
 def empirical_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     """Mean squared-gap loss (f(x) - y)^2 / 2 over a sample set."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    y = check_reals(y, "labels").ravel()
     if len(y) == 0:
         raise DomainError("empirical loss of an empty dataset is undefined")
     if len(x) != len(y):
@@ -202,11 +202,9 @@ class _TestSet:
 
     @classmethod
     def of(cls, test_x: np.ndarray, cap: int | None) -> "_TestSet":
-        x = np.asarray(test_x, dtype=float)
+        x = check_reals(test_x, "test set")
         if x.ndim != 2 or len(x) < 1:
             raise DomainError("test set must be a nonempty 2-d array")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("test set must be finite")
         return cls(x, None if cap is not None and len(x) > cap else sq_pairs(x))
 
 
@@ -398,8 +396,8 @@ def fit_weights(
     A small ridge keeps rank-deficient systems solvable; the realized
     column rank is reported so callers can see when it kicked in.
     """
-    a = np.asarray(terms, dtype=float)
-    t = np.asarray(targets, dtype=float).ravel()
+    a = check_reals(terms, "terms")
+    t = check_reals(targets, "targets").ravel()
     if a.ndim != 2 or a.shape[1] != 4:
         raise DomainError(f"term matrix must be K x 4, got {a.shape}")
     if len(a) != len(t):

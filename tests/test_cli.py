@@ -133,6 +133,17 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_weights_is_an_unknown_key_to_marginal(tmp_path, capsys):
+    # marginal values coalitions under the configured weights; it fits none
+    payload = edited_payload(tmp_path, "marginal", {"fit_weights": True})
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "marginal", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "unknown keys in config: fit_weights" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [("[1, 2]", "must hold a JSON object"),
@@ -1038,7 +1049,7 @@ def test_read_samples_malformed(tmp_path):
     with pytest.raises(DomainError):
         cli.read_samples(path)
     path.write_text("a,b\n1.0,inf\n", encoding="utf-8")
-    with pytest.raises(DomainError, match="non-finite"):
+    with pytest.raises(DomainError, match="features must be finite, got inf$"):
         cli.read_samples(path)
 
 

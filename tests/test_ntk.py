@@ -139,8 +139,8 @@ def test_batch_validation():
     params = init_params(spec)
     with pytest.raises(DomainError):
         predict(spec, params, np.zeros((4, 2)))
-    # non-finite inputs propagate; the Gram constructor is the checkpoint
-    with pytest.raises(NumericalError):
+    # a non-finite input is bad input, rejected before any gradient is taken
+    with pytest.raises(DomainError, match="^inputs must be finite, got nan$"):
         ntk_gram(spec, params, np.array([[np.nan, 0.0, 0.0]]))
 
 

@@ -433,9 +433,11 @@ def test_phase_closed_form_regime_checks():
 def test_phase_closed_form_rejects_nan_sample_count():
     params = full_params(0.1)
     for phase in (1, 3):
-        with pytest.raises(DomainError, match="n >= 1"):
+        with pytest.raises(DomainError, match="^n must be finite, got nan$"):
             phase_closed_form(params, float("nan"), phase)
-    assert phase_closed_form(params, float("inf"), 3) == pytest.approx(0.1)
+    # no sample count is infinite: the floor term is the limit, not a value at n
+    with pytest.raises(DomainError, match="^n must be finite, got inf$"):
+        phase_closed_form(params, float("inf"), 3)
 
 
 def test_reducible_error_diverges_across_pi():
@@ -527,9 +529,16 @@ def test_phase_curve_validation():
         PhaseCurve(np.array([1.0, 2.0]), np.array([0.5]), params)
 
 
+def test_phase_curve_holds_float_arrays():
+    # a sequence or an integer array is held as the float array the array rule returns
+    curve = PhaseCurve([10, 20, 30], np.array([1, 0, 0]), full_params(0.5, support_max=100))
+    assert curve.sample_sizes.dtype == curve.errors.dtype == np.float64
+    assert curve.reducible_errors().shape == (3,)
+
+
 @pytest.mark.parametrize("sizes", [[0.0, 1.0], [-2.0, 1.0]])
 def test_phase_curve_rejects_sample_sizes_that_are_not_positive(sizes):
-    with pytest.raises(DomainError, match="sample sizes must be positive"):
+    with pytest.raises(DomainError, match=f"^sample_sizes must be > 0, got {sizes[0]}$"):
         PhaseCurve(np.array(sizes), np.array([0.5, 0.4]), full_params(0.5, support_max=100))
 
 
