@@ -26,8 +26,8 @@ from .errors import DegenerateDataError, DomainError, check_count, check_real, c
 from .longtail import Contributor, MixtureSpec, check_unique_ids, make_contributors
 from .ntk import MLPSpec, Model, _check_batch, backprop, init_params
 from .ntk import layer_outputs, ntk_gram
-from .valuation import ValuationScore, _half_mean_sq, _map_contributors, empirical_loss
-from .valuation import mixture_loss
+from .valuation import ValuationScore, _half_mean_sq, _map_contributors, _predictions_for
+from .valuation import empirical_loss, mixture_loss
 
 log = logging.getLogger(__name__)
 
@@ -133,9 +133,11 @@ def train_model(
     """Train a fresh model by full-batch gradient descent on (f-y)^2/2.
 
     Each epoch makes one forward pass, checks the loss, then runs one
-    ``ntk.backprop`` of the summed loss (delta = f'(logit) * residual)
-    and steps each layer's weights and bias in place, through the layer
-    views of the one parameter vector this run owns.
+    ``ntk.backprop`` of the summed loss (delta = f'(logit) * residual).
+    Each layer's weight and bias gradient is written into its view of
+    one gradient vector, allocated once per run in the parameter layout,
+    and one in-place step ``params -= lr * grad / n`` then moves every
+    layer at once, after the whole reverse pass has read the old weights.
     """
     x = _check_batch(spec, x)
     y = check_reals(y, "labels").ravel()
@@ -144,6 +146,8 @@ def train_model(
     params = init_params(spec)
     lr = _learning_rate(spec, params, x, config)
     layers = spec.layers(params)
+    grad = np.empty_like(params)
+    grad_layers = spec.layers(grad)
     model = Model(spec, params)
     n = len(y)
     prev = math.inf
@@ -158,18 +162,23 @@ def train_model(
         if abs(prev - loss) < config.tol:
             return TrainResult(model, epochs, loss, diverged=False, converged=True, lr=lr)
         for li, delta, h_in in backprop(spec, layers, outputs, resid[:, None]):
-            w, b = layers[li]
-            w -= lr * (delta.T @ h_in) / n
-            b -= lr * np.add.reduce(delta, axis=0) / n
+            gw, gb = grad_layers[li]
+            np.matmul(delta.T, h_in, out=gw)
+            np.add.reduce(delta, axis=0, out=gb)
+        # times lr, then over n: one factor lr / n would round differently
+        grad *= lr
+        grad /= n
+        params -= grad
         prev = loss
     return TrainResult(model, epochs, loss, diverged=False, converged=False, lr=lr)
 
 
 def accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of test points with |f(x) - y| < 0.5."""
+    pred, y = _predictions_for(model, x, y)
     if len(y) == 0:
         raise DomainError("accuracy of an empty test set is undefined")
-    return float(np.mean(np.abs(model.predict(x) - check_reals(y, "labels").ravel()) < 0.5))
+    return float(np.mean(np.abs(pred - y) < 0.5))
 
 
 def _metric(model: Model, x, y, kind: str) -> float:

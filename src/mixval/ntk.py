@@ -96,8 +96,9 @@ class MLPSpec:
         weight matrix row major, then the bias vector.  ``flat`` is a
         parameter vector or a matrix with one such row per example, as
         ``gradients`` returns.  Writing through the views writes
-        ``flat``: only its owner may, as ``evalharness.train_model``
-        does with the fresh parameters it trains.
+        ``flat``: only its owner may, as ``gradients`` and
+        ``evalharness.train_model`` do with the gradient arrays they
+        allocate, each block filled through its layer's view.
         """
         if flat.shape[-1:] != (self.n_params,):
             raise DomainError(
@@ -167,8 +168,9 @@ def backprop(
     row i of delta (n, out) is weight_i times the derivative of f(x_i)
     with respect to that layer's pre-activation, so example i adds
     delta_i outer input_i to the weight gradient and delta_i to the bias
-    gradient.  The delta of the layer below is computed before a layer
-    is yielded, so the caller may update that layer's parameters in place.
+    gradient.  Callers leave the parameters unchanged during the pass:
+    ``gradients`` and ``evalharness.train_model`` write each yielded
+    layer's gradient into an array of their own.
     """
     _, dact = _ACTIVATIONS[spec.activation]
     _, dsquash = _SQUASHES[spec.output_squash]

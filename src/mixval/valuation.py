@@ -144,13 +144,20 @@ class ValuationConfig:
 
 def empirical_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     """Mean squared-gap loss (f(x) - y)^2 / 2 over a sample set."""
-    x = np.asarray(x, dtype=float)
-    y = check_reals(y, "labels").ravel()
+    pred, y = _predictions_for(model, x, y)
     if len(y) == 0:
         raise DomainError("empirical loss of an empty dataset is undefined")
-    if len(x) != len(y):
-        raise DomainError(f"{len(x)} inputs vs {len(y)} labels")
-    return _half_mean_sq(model.predict(x) - y)
+    return _half_mean_sq(pred - y)
+
+
+def _predictions_for(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The model's outputs on x and the checked labels y, one label per
+    prediction: a 1-d x is one point, so it needs exactly one label."""
+    y = check_reals(y, "labels").ravel()
+    pred = model.predict(x)
+    if len(pred) != len(y):
+        raise DomainError(f"{len(pred)} inputs vs {len(y)} labels")
+    return pred, y
 
 
 def _half_mean_sq(resid: np.ndarray) -> float:

@@ -254,7 +254,7 @@ def test_train_model_loss_and_bias_step_keep_mean_and_sum_bits():
             prev = loss
         return epochs, loss, params
 
-    for widths, max_epochs in (((2, 8, 1), 3000), ((3, 5, 4, 1), 40)):
+    for widths, max_epochs in (((2, 8, 1), 3000), ((3, 5, 4, 1), 40), ((8, 16, 1), 800)):
         x, y, spec = training_case(widths, n=37, seed=9)
         config = TrainingConfig(max_epochs=max_epochs)
         epochs, loss, values = mean_sum_training(x, y, spec, config)
@@ -270,6 +270,17 @@ def test_accuracy_hand_value():
     assert accuracy(model, x, y) == pytest.approx(2 / 3)
     with pytest.raises(DomainError):
         accuracy(model, np.zeros((0, 1)), np.zeros(0))
+
+
+def test_accuracy_needs_one_label_per_prediction():
+    model = Model.at_init(MLPSpec(layer_widths=(4, 8, 1), init_seed=0))
+    # a 1-d x is one point, not four: four labels do not match it
+    with pytest.raises(DomainError, match="1 inputs vs 4 labels"):
+        accuracy(model, np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.0, 1.0, 0.0, 1.0]))
+    with pytest.raises(DomainError, match="3 inputs vs 5 labels"):
+        accuracy(model, np.zeros((3, 4)), np.zeros(5))
+    point = np.array([[0.1, 0.2, 0.3, 0.4]])
+    assert accuracy(model, point[0], [0.5]) == accuracy(model, point, [0.5])
 
 
 def test_train_ground_truth_duplicates_agree():

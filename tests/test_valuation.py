@@ -115,6 +115,18 @@ def test_score_terms_match_direct_computation(contributors_small, test_x_small, 
     )
 
 
+def test_empirical_loss_needs_one_label_per_prediction(model_small):
+    # a 1-d x is one point, not four: four labels do not match it
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(DomainError, match="1 inputs vs 4 labels"):
+        empirical_loss(model_small, np.array([0.1, 0.2, 0.3, 0.4]), y)
+    with pytest.raises(DomainError, match="3 inputs vs 5 labels"):
+        empirical_loss(model_small, np.zeros((3, 4)), np.zeros(5))
+    point = np.array([[0.1, 0.2, 0.3, 0.4]])
+    one = empirical_loss(model_small, point, y[:1])
+    assert empirical_loss(model_small, point[0], y[:1]) == one
+
+
 def test_score_real_only_contributor_skips_synth_part(test_x_small, model_small):
     from conftest import small_mixture
     from mixval.longtail import make_contributors
