@@ -97,7 +97,8 @@ _EPILOG = "output columns (fixed order):\n" + "".join(
 environment:
   MIXVAL_THREADS   worker threads for per-contributor loops (default 1);
                    pays off only when each contributor's work is large
-                   (wide models, hundreds of samples), slower on small jobs
+                   (wide models, hundreds of samples), slower on small jobs;
+                   needs one BLAS thread (OPENBLAS_NUM_THREADS=1) to pay off
 """
 
 

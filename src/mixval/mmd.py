@@ -38,6 +38,12 @@ _MAX_SQUARINGS = 8
 _ESTIMATORS = ("biased", "unbiased")  # V-statistic, U-statistic
 
 
+def check_estimator(estimator: str) -> None:
+    """The one estimator rule, for ``mmd`` and ``ValuationConfig``."""
+    if estimator not in _ESTIMATORS:
+        raise DomainError(f"estimator must be 'biased' or 'unbiased', got {estimator!r}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Gaussian kernel k(x, y) = exp(-||x - y||^2 / (2 * bandwidth^2))."""
@@ -337,8 +343,7 @@ def mmd(
     pairs are summed once and counted twice.
     """
     x, y = _sample_sets(x, y, "MMD")
-    if estimator not in _ESTIMATORS:
-        raise DomainError(f"estimator must be 'biased' or 'unbiased', got {estimator!r}")
+    check_estimator(estimator)
     minimum = 1 if estimator == "biased" else 2
     if len(x) < minimum or len(y) < minimum:
         raise DomainError(

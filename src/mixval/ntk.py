@@ -220,9 +220,7 @@ class NTKGram:
       spectrally in tests, not per instance;
     - J itself (``jacobian``), as ``ntk_gram`` keeps it when n > P.  B
       is then the largest row norm and the trace the sum of J's squared
-      entries; ``matrix`` is formed as J @ J' on first read.  ``jtj`` is
-      J'J when the caller already holds it (as a sum over row blocks,
-      exactly symmetric), so ``bound_term`` need not form it.
+      entries; ``matrix`` is formed as J @ J' on first read.
     """
 
     def __init__(self, matrix: np.ndarray, gradient_norm_bound: float) -> None:
@@ -242,27 +240,21 @@ class NTKGram:
             raise NumericalError("Gram diagonal outside [0, B^2]")
         self._matrix = m
         self.jacobian: np.ndarray | None = None
-        self.jtj: np.ndarray | None = None
         self.gradient_norm_bound = gradient_norm_bound
         self.n = len(m)
         self._trace = float(np.trace(m))
 
     @classmethod
-    def of_jacobian(cls, jacobian: np.ndarray, jtj: np.ndarray | None = None) -> "NTKGram":
-        """The Gram J J' of a nonempty (n, P) Jacobian, held as J (and J'J if given)."""
+    def of_jacobian(cls, jacobian: np.ndarray) -> "NTKGram":
+        """The Gram J J' of a nonempty (n, P) Jacobian, held as J."""
+        if jacobian.ndim != 2 or jacobian.size == 0:
+            raise DomainError(f"Jacobian must be 2-d and nonempty, got {jacobian.shape}")
         sq_norms = np.einsum("ij,ij->i", jacobian, jacobian)
         if not np.all(np.isfinite(sq_norms)):
             raise NumericalError("Gram matrix contains non-finite entries")
-        p = jacobian.shape[1]
-        if jtj is not None:
-            if jtj.shape != (p, p):
-                raise DomainError(f"J'J has shape {jtj.shape}, {p} parameters need ({p}, {p})")
-            if not (np.all(np.isfinite(jtj)) and np.array_equal(jtj, jtj.T)):
-                raise NumericalError("J'J must be finite and exactly symmetric")
         gram = cls.__new__(cls)
         gram._matrix = None
         gram.jacobian = jacobian
-        gram.jtj = jtj
         gram.gradient_norm_bound = float(np.sqrt(sq_norms.max()))
         gram.n = len(jacobian)
         gram._trace = float(sq_norms.sum())
@@ -284,13 +276,11 @@ def ntk_gram(
     x: np.ndarray | None = None,
     *,
     rows: np.ndarray | None = None,
-    jtj: np.ndarray | None = None,
 ) -> NTKGram:
     """Gram[i][j] = <grad f(x_i), grad f(x_j)>, held as J when n > P.
 
     Either ``x`` is given, or ``rows``: the gradients of the batch when
-    the caller already holds them.  ``jtj`` is their J'J, also held by
-    the caller; the Gram carries it for ``bound_term`` when n > P.
+    the caller already holds them.
     """
     if (x is None) == (rows is None):
         raise DomainError("ntk_gram takes exactly one of inputs x and gradient rows")
@@ -306,7 +296,7 @@ def ntk_gram(
     if len(g) == 0:
         raise DomainError("NTK Gram of an empty batch is undefined")
     if len(g) > spec.n_params:
-        return NTKGram.of_jacobian(g, jtj)
+        return NTKGram.of_jacobian(g)
     m = g @ g.T  # numpy computes g @ g.T with syrk: exactly symmetric
     bound = float(np.sqrt(np.maximum(np.diag(m), 0.0).max()))
     return NTKGram(matrix=m, gradient_norm_bound=bound)
@@ -322,7 +312,7 @@ def _condition(gram: NTKGram, ridge: float) -> float:
     # overwrites its ridged copy): K + ridge I when the Gram holds K, else
     # J'J + ridge I, so that no n x n product is formed above P
     j = gram.jacobian
-    a = gram.matrix if j is None else j.T @ j if gram.jtj is None else gram.jtj
+    a = gram.matrix if j is None else j.T @ j
     return float(np.linalg.cond(a + ridge * np.eye(len(a))))
 
 
@@ -337,7 +327,7 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cho_solve(cho_factor(a, overwrite_a=True), b)
 
 
-def _push_through(j: np.ndarray, r: np.ndarray, ridge: float, jtj: np.ndarray | None) -> float:
+def _push_through(j: np.ndarray, r: np.ndarray, ridge: float) -> float:
     """r' (J J' + ridge I)^-1 r through the P x P system J'J + ridge I.
 
     By the push-through identity (J J' + ridge I)^-1 = (I - J (J'J +
@@ -345,13 +335,11 @@ def _push_through(j: np.ndarray, r: np.ndarray, ridge: float, jtj: np.ndarray | 
     b = J'r and x = (J'J + ridge I)^-1 b: the minimum over x of
     ||r - J x||^2 + ridge ||x||^2.  It is evaluated as that sum at the
     solved x, where the solve's error enters squared, rather than as
-    the difference r'r - b'x, which cancels.  ``jtj`` is J'J when the
-    Gram carries it; it is copied, never written.
+    the difference r'r - b'x, which cancels.
     """
-    # J'J is exactly symmetric (from syrk, or summed from syrk blocks), so
-    # its transpose is the same matrix in Fortran order, which cho_factor
-    # factors in place: a carried J'J in a copy
-    a = (j.T @ j).T if jtj is None else jtj.T.copy(order="F")
+    # J'J from syrk is exactly symmetric, so its transpose is the same
+    # matrix in Fortran order, which cho_factor factors in place
+    a = (j.T @ j).T
     a.flat[:: len(a) + 1] += ridge
     x = _cholesky_solve(a, j.T @ r)
     e = r - j @ x
@@ -390,7 +378,7 @@ def bound_term(
                 a.flat[:: gram.n + 1] += ridge
                 quad = float(r @ _cholesky_solve(a, r))
             else:
-                quad = _push_through(j, r, ridge, gram.jtj)
+                quad = _push_through(j, r, ridge)
     except np.linalg.LinAlgError as exc:  # scipy.linalg raises this class too
         raise NumericalError(
             f"Gram system singular after ridge {ridge:g} "

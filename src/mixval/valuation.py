@@ -26,9 +26,9 @@ from .errors import DomainError, MixvalError, check_count, check_real, check_rea
 from .longtail import Contributor, check_unique_ids, pool_contributors
 from .mmd import (
     _DEFAULT_SCALES,
-    _ESTIMATORS,
     DistanceBlocks,
     MultiKernelSpec,
+    check_estimator,
     mmd,
     sq_distances,
     sq_pairs,
@@ -124,8 +124,7 @@ class ValuationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.estimator not in _ESTIMATORS:
-            raise DomainError(f"estimator must be biased or unbiased, got {self.estimator!r}")
+        check_estimator(self.estimator)
         for name, cap in (
             ("ntk_cap", self.ntk_cap),
             ("mmd_cap", self.mmd_cap),
@@ -486,13 +485,10 @@ def coalition_value_fn(
     fits under ``ntk_cap`` (or there is none), so that no coalition's
     cap fires, each contributor's model rows: the predictions and
     gradient rows of its pooled rows, from one ``predict`` and one
-    ``gradients`` call on them, and, when the pool has more rows than
-    the model has parameters, its J'J.  For N pooled rows, K
-    contributors and P parameters that is N*P floats of gradient rows,
-    no more than the full coalition's score builds, and K*P^2 floats of
-    J'J.  A coalition takes its members' real rows, then their synthetic
-    rows (the pooled order), and above P sums its members' J'J instead
-    of forming its own.
+    ``gradients`` call on them.  For N pooled rows and P parameters that
+    is N*P floats, no more than the full coalition's score builds.  A
+    coalition takes its members' real rows, then their synthetic rows
+    (the pooled order).
 
     Likewise, when no distance cap can fire (``test_cap`` keeps the whole
     test set, and ``mmd_cap`` is None or each part of the pool of every
@@ -512,7 +508,7 @@ def coalition_value_fn(
     test = _TestSet.of(test_x, config.test_cap)
     n_total = sum(c.n_total for c in contributors)
     held = (
-        [_held_rows(c, model, with_jtj=n_total > model.spec.n_params) for c in contributors]
+        [_held_rows(c, model) for c in contributors]
         if config.ntk_cap is None or n_total <= config.ntk_cap
         else None
     )
@@ -544,31 +540,21 @@ def coalition_value_fn(
     return value
 
 
-def _held_rows(
-    c: Contributor, model: Model, with_jtj: bool
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
-    # (n_real, predictions, gradient rows, J'J or None) of one contributor's
-    # pooled rows, from one predict and one gradients call on them
+def _held_rows(c: Contributor, model: Model) -> tuple[int, np.ndarray, np.ndarray]:
+    # (n_real, predictions, gradient rows) of one contributor's pooled
+    # rows, from one predict and one gradients call on them
     x = c.pooled_x()
     try:
-        predictions = model.predict(x)
-        g = gradients(model.spec, model.params, x)
+        return c.n_real, model.predict(x), gradients(model.spec, model.params, x)
     except MixvalError as exc:
         raise type(exc)(f"contributor {c.id!r}: {exc}") from exc
-    jtj = g.T @ g if with_jtj else None  # syrk: exactly symmetric, and so is any sum of them
-    return c.n_real, predictions, g, jtj
 
 
 def _coalition_rows(held: list[tuple], model: Model) -> _ModelRows:
     # the members' real rows, then their synthetic rows: the pooled order
-    parts = [(p[:n], g[:n]) for n, p, g, _ in held] + [(p[n:], g[n:]) for n, p, g, _ in held]
+    parts = [(p[:n], g[:n]) for n, p, g in held] + [(p[n:], g[n:]) for n, p, g in held]
     grads = np.concatenate([g for _, g in parts])
-    jtj = None
-    if len(grads) > model.spec.n_params:
-        jtj = held[0][3].copy()
-        for *_, other in held[1:]:
-            jtj += other
-    gram = ntk_gram(model.spec, model.params, rows=grads, jtj=jtj)
+    gram = ntk_gram(model.spec, model.params, rows=grads)
     return _ModelRows(np.concatenate([p for p, _ in parts]), gram)
 
 

@@ -370,7 +370,7 @@ def test_read_samples_names_the_file_of_a_non_finite_value(tmp_path, bad, column
 # value there is a NumericalError
 COMPUTED_VALUE_CHECKS = {
     ("ntk.py", "NTKGram.__init__"),  # the Gram matrix
-    ("ntk.py", "NTKGram.of_jacobian"),  # the row norms and J'J
+    ("ntk.py", "NTKGram.of_jacobian"),  # the row norms
     ("ntk.py", "bound_term"),  # the quadratic form
     ("evalharness.py", "train_model"),  # the loss
 }

@@ -84,7 +84,9 @@ def test_counter_arguments_keep_their_names_and_positions():
 
 def test_gram_and_bound_counters_read_real_grams():
     # the counters read NTKGram.n from what ntk_gram returns, on both
-    # sides of the parameter count (P = 16), where the Gram's form differs
+    # sides of the parameter count (P = 16), where the Gram's form differs,
+    # for Grams built from inputs and from held gradient rows (the
+    # coalition path)
     tracing = load_by_path(TRACING)
     ntk = importlib.import_module("mixval.ntk")
     spec = ntk.MLPSpec(layer_widths=(3, 3, 1))
@@ -95,10 +97,12 @@ def test_gram_and_bound_counters_read_real_grams():
     with tracer.installed():
         for n in sizes:
             ntk.bound_term(ntk.ntk_gram(spec, params, x[:n]), np.ones(n))
+            rows = ntk.gradients(spec, params, x[:n])
+            ntk.bound_term(ntk.ntk_gram(spec, params, rows=rows), np.ones(n))
     spans = tracer.reset()
-    assert spans["ntk.gram"].calls == spans["ntk.bound"].calls == len(sizes)
-    assert spans["ntk.gram"].counts["flops"] == sum(2 * n * n * spec.n_params for n in sizes)
-    assert spans["ntk.bound"].counts["n_gt_p"] == 2
+    assert spans["ntk.gram"].calls == spans["ntk.bound"].calls == 2 * len(sizes)
+    assert spans["ntk.gram"].counts["flops"] == 2 * sum(2 * n * n * spec.n_params for n in sizes)
+    assert spans["ntk.bound"].counts["n_gt_p"] == 4
 
 
 def test_each_workload_records_its_required_spans(tmp_path, monkeypatch):

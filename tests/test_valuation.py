@@ -67,6 +67,19 @@ def test_config_validation():
         ValuationConfig(kernel_scales=(1.0, float("nan")))
 
 
+@pytest.mark.parametrize("estimator", ["plugin", "Biased", None])
+def test_config_and_mmd_reject_an_estimator_with_one_message(estimator):
+    x = np.zeros((3, 2))
+    bank = MultiKernelSpec.from_bandwidths((1.0,))
+    raised = []
+    for build in (lambda: ValuationConfig(estimator=estimator),
+                  lambda: mmd(x, x + 1.0, bank, estimator)):
+        with pytest.raises(DomainError) as exc:
+            build()
+        raised.append(str(exc.value))
+    assert raised == [f"estimator must be 'biased' or 'unbiased', got {estimator!r}"] * 2
+
+
 @pytest.mark.parametrize("key", ["ntk_cap", "mmd_cap", "test_cap"])
 @pytest.mark.parametrize("value", [2.5, 4.0, True])
 def test_config_rejects_non_integer_caps(key, value):
@@ -521,9 +534,9 @@ def each_coalition(contributors: list[Contributor]):
 def test_coalition_values_match_plain_scores_of_pooled_data(
     contributors_mixed, test_x_small, model_small, config
 ):
-    # the value function gathers rows held once per call (and above P sums
-    # its members' J'J); each value stays within rounding of a score of
-    # the freshly pooled data
+    # the value function gathers rows held once per call (and above P forms
+    # its own J'J from them); each value stays within rounding of a score
+    # of the freshly pooled data
     fn = coalition_value_fn(contributors_mixed, test_x_small, model_small, config)
     for coalition, pooled in each_coalition(contributors_mixed):
         want = score(pooled, test_x_small, model_small, config).total
