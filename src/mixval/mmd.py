@@ -112,10 +112,12 @@ class DistanceBlocks:
     ``coalition_value_fn``, when no distance cap can fire, holds the pieces
     of every coalition's yy and xy (T*N + sum_p N_p(N_p-1)/2 floats for T
     test rows and N pooled rows in parts of N_p, at most what the full
-    coalition's own blocks cost), which each coalition joins into a
-    condensed yy.  ``score_all`` keeps a square yy per part: condensing it
-    raised the value-wide benchmark's peak RSS from 110.0 to 121.5 MB
-    (seeds 1-3), an effect of glibc's dynamic mmap threshold.
+    coalition's own blocks cost), which it joins into a condensed yy once
+    per set of members with rows in a part; coalitions with that set share
+    the part's MMD.  When any cap can fire, nothing is held or shared.
+    ``score_all`` keeps a square yy per part: condensing it raised the
+    value-wide benchmark's peak RSS from 110.0 to 121.5 MB (seeds 1-3),
+    an effect of glibc's dynamic mmap threshold.
     """
 
     xx: np.ndarray

@@ -234,26 +234,22 @@ class _ModelRows:
 
 
 def _part_discrepancy(
-    test: _TestSet,
-    x: np.ndarray,
-    cid: str,
-    tag: str,
-    config: ValuationConfig,
-    part_blocks: Callable[[str], DistanceBlocks] | None,
+    test: _TestSet, x: np.ndarray, cid: str, tag: str, config: ValuationConfig
 ) -> float:
-    # MMD of one capped part to the test set; its distance blocks serve the
-    # median and the kernels, and die on return, before the next part's.
-    # ``part_blocks(tag)`` gives them when no cap can fire; otherwise they
-    # are built here.
-    if part_blocks is not None:
-        t_x, part_x, blocks = test.x, x, part_blocks(tag)
-    else:
-        part_x = x[cap_rows(len(x), config.mmd_cap, config.seed, "value", cid, "mmd-cap", tag)]
-        # the rows are all of them exactly when test.d2 is held
-        t_x = test.x[
-            cap_rows(len(test.x), config.test_cap, config.seed, "value", cid, "test-cap", tag)
-        ]
-        blocks = DistanceBlocks.of(t_x, part_x, sq_pairs(t_x) if test.d2 is None else test.d2)
+    # MMD of one capped part to the test set, from blocks built here; they
+    # die on return, before the next part's
+    part_x = x[cap_rows(len(x), config.mmd_cap, config.seed, "value", cid, "mmd-cap", tag)]
+    # the rows are all of them exactly when test.d2 is held
+    t_x = test.x[cap_rows(len(test.x), config.test_cap, config.seed, "value", cid, "test-cap", tag)]
+    blocks = DistanceBlocks.of(t_x, part_x, sq_pairs(t_x) if test.d2 is None else test.d2)
+    return _blocks_discrepancy(t_x, part_x, blocks, config)
+
+
+def _blocks_discrepancy(
+    t_x: np.ndarray, part_x: np.ndarray, blocks: DistanceBlocks, config: ValuationConfig
+) -> float:
+    # the one rule from a part's distance blocks to its discrepancy: the
+    # median bank, then the MMD
     bank = MultiKernelSpec.median_bank(t_x, part_x, config.kernel_scales, blocks)
     return mmd(t_x, part_x, bank, config.estimator, blocks).value
 
@@ -265,7 +261,7 @@ def score(
     config: ValuationConfig,
     *,
     rows: _ModelRows | None = None,
-    part_blocks: Callable[[str], DistanceBlocks] | None = None,
+    part_discrepancy: Callable[[str], float] | None = None,
 ) -> ValuationScore:
     """Four-term value of one contributor against a test sample.
 
@@ -279,18 +275,21 @@ def score(
     ``coalition_value_fn`` joins them from its members' held rows; otherwise
     ``_ModelRows.of`` builds them here, after the discrepancy term, so that
     the gradient rows are never alive next to its distance blocks.
-    Likewise ``part_blocks`` maps a part's tag ("real", "synth") to its
-    uncapped distance blocks against the whole test set, joined by
-    ``coalition_value_fn`` from held pieces; without it each part's yy is
-    built square here (see ``mmd.DistanceBlocks`` for why).
+    Likewise ``part_discrepancy`` maps a part's tag ("real", "synth") to
+    its uncapped discrepancy against the whole test set, which
+    ``coalition_value_fn`` computes once per set of members with rows in
+    the part; without it each part's blocks are built here, its yy square
+    (see ``mmd.DistanceBlocks`` for why).  Both paths take a part's value
+    from its blocks by one rule (``_blocks_discrepancy``).
     """
     test = test_x if isinstance(test_x, _TestSet) else _TestSet.of(test_x, config.test_cap)
     cid = contributor.id
     pi = contributor.pi
     try:
+        own = part_discrepancy is None
         discrepancy_term = math.fsum(
-            weight * _part_discrepancy(test, x, cid, tag, config, part_blocks)
-            for weight, x, _, tag, _ in _parts(contributor)
+            w * (_part_discrepancy(test, x, cid, tag, config) if own else part_discrepancy(tag))
+            for w, x, _, tag, _ in _parts(contributor)
         )
         keep = cap_rows(contributor.n_total, config.ntk_cap, config.seed, "value", cid, "ntk-cap")
         if rows is None:
@@ -499,10 +498,11 @@ def coalition_value_fn(
     rows that is T*N + sum_p N_p(N_p - 1)/2 floats, at most what the full
     coalition's own blocks cost.  A coalition part joins its members'
     pieces into a condensed yy and an xy, so no coalition computes a
-    distance.  When a cap can fire, each coalition builds its own blocks.
-    ``score_all`` holds no pieces and keeps a square yy per part: a
-    condensed one raised the value-wide benchmark's peak RSS from 110.0 to
-    121.5 MB, through glibc's dynamic mmap threshold.
+    distance, and its discrepancy is computed once per set of members with
+    rows in the part, shared by every coalition with that set (254 part
+    MMDs of 508 on shapley-exact).  When any cap can fire, each coalition
+    builds its own blocks and draws, and no part value is shared.
+    ``score_all`` holds no pieces (see ``mmd.DistanceBlocks`` for why).
     """
     _check_contributors(contributors)
     test = _TestSet.of(test_x, config.test_cap)
@@ -532,8 +532,13 @@ def coalition_value_fn(
             [contributors[i] for i in members], id="+".join(contributors[i].id for i in members)
         )
         rows = None if held is None else _coalition_rows([held[i] for i in members], model)
-        part_blocks = None if pieces is None else lambda tag: pieces[tag].blocks(test.d2, members)
-        v = score(pooled, test, model, config, rows=rows, part_blocks=part_blocks).total
+        part_x = {"real": pooled.real_x, "synth": pooled.synth_x}
+        part_discrepancy = (
+            None
+            if pieces is None
+            else lambda tag: pieces[tag].discrepancy(test, part_x[tag], members, config)
+        )
+        v = score(pooled, test, model, config, rows=rows, part_discrepancy=part_discrepancy).total
         cache[coalition] = v
         return v
 
@@ -564,12 +569,17 @@ class _PartDistances:
 
     ``test`` holds each contributor's T x n_i block against the test set,
     ``within`` its n_i(n_i - 1)/2 condensed pairs, and ``between`` the
-    n_i x n_j block of each two contributors i < j, flattened.
+    n_i x n_j block of each two contributors i < j, flattened.  ``memo``
+    holds the part's discrepancy per set of members with rows in it, the
+    same for every coalition with that set (a failure is not held): 254
+    part MMDs of 508 on shapley-exact, with one all-real and one
+    all-synthetic contributor among 8.
     """
 
     test: list[np.ndarray]
     within: list[np.ndarray]
     between: dict[tuple[int, int], np.ndarray]
+    memo: dict[tuple[int, ...], float] = field(default_factory=dict)
 
     @classmethod
     def of(cls, test_x: np.ndarray, xs: list[np.ndarray]) -> "_PartDistances":
@@ -579,14 +589,22 @@ class _PartDistances:
         }
         return cls([sq_distances(test_x, x) for x in xs], [sq_pairs(x) for x in xs], between)
 
-    def blocks(self, test_d2: np.ndarray, members: list[int]) -> DistanceBlocks:
-        # the part of the members pooled in this order: its xy columns are
-        # the members' test blocks side by side, and its condensed yy holds
-        # every pair once, within each member and then between each two
-        pairs = [self.within[i] for i in members]
-        pairs += [self.between[ij] for ij in combinations(members, 2)]
-        xy = np.concatenate([self.test[i] for i in members], axis=1)
-        return DistanceBlocks(test_d2, np.concatenate(pairs), xy)
+    def discrepancy(
+        self, test: _TestSet, x: np.ndarray, members: list[int], config: ValuationConfig
+    ) -> float:
+        # the part x of the members pooled in this order, against the whole
+        # test set: its xy columns are the members' test blocks side by side,
+        # and its condensed yy holds every pair once, within each member and
+        # then between each two; a member without rows here adds no entry
+        key = tuple(i for i in members if self.test[i].shape[1])
+        got = self.memo.get(key)
+        if got is None:
+            pairs = [self.within[i] for i in key]
+            pairs += [self.between[ij] for ij in combinations(key, 2)]
+            xy = np.concatenate([self.test[i] for i in key], axis=1)
+            blocks = DistanceBlocks(test.d2, np.concatenate(pairs), xy)
+            got = self.memo[key] = _blocks_discrepancy(test.x, x, blocks, config)
+        return got
 
 
 def exact_shapley(n: int, value_fn: ValueFn) -> np.ndarray:

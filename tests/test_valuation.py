@@ -627,6 +627,79 @@ def test_coalitions_build_their_own_blocks_when_a_cap_can_fire(
         assert calls["cdist"] == 2 * ((pooled.n_real > 0) + (pooled.n_synth > 0))
 
 
+def count_mmd_calls(monkeypatch) -> list[int]:
+    # the part size of every mmd call through valuation's binding
+    sizes = []
+    original = valuation.mmd
+
+    def counting(x, y, *args, **kwargs):
+        sizes.append(len(y))
+        return original(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(valuation, "mmd", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+def test_coalitions_compute_one_mmd_per_distinct_part(
+    monkeypatch, contributors_mixed, test_x_small, model_small, estimator
+):
+    # no cap can fire, so a coalition's real (synthetic) part is the part of
+    # its members with real (synthetic) rows: the 7 nonempty subsets of
+    # {0, 2, 3} (of {0, 1, 3}) give every real (synthetic) part of the 15
+    # coalitions, and each part's MMD is computed once, not once per
+    # coalition that has it (28)
+    config = ValuationConfig(seed=3, estimator=estimator)
+    sizes = count_mmd_calls(monkeypatch)
+    fn = coalition_value_fn(contributors_mixed, test_x_small, model_small, config)
+    values = {coalition: fn(coalition) for coalition, _ in each_coalition(contributors_mixed)}
+    assert len(sizes) == 14
+    for coalition, pooled in each_coalition(contributors_mixed):
+        want = score(pooled, test_x_small, model_small, config).total
+        assert values[coalition] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ValuationConfig(seed=3, test_cap=20), ValuationConfig(seed=3, mmd_cap=10)],
+)
+def test_no_part_value_is_shared_when_a_cap_can_fire(
+    monkeypatch, contributors_mixed, test_x_small, model_small, config
+):
+    # a firing cap draws each part's rows by the coalition's id: {0} and
+    # {0, 1} have the same real rows but draw different ones, so every
+    # nonempty part of every coalition takes its own MMD, and each value is
+    # its own coalition's fresh score, never another coalition's draw
+    sizes = count_mmd_calls(monkeypatch)
+    fn = coalition_value_fn(contributors_mixed, test_x_small, model_small, config)
+    values = {coalition: fn(coalition) for coalition, _ in each_coalition(contributors_mixed)}
+    parts = [(p.n_real > 0) + (p.n_synth > 0) for _, p in each_coalition(contributors_mixed)]
+    assert len(sizes) == sum(parts) == 28
+    for coalition, pooled in each_coalition(contributors_mixed):
+        want = score(pooled, test_x_small, model_small, config).total
+        assert values[coalition] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_a_copied_contributor_gets_its_twin_shapley_value(
+    contributors_mixed, test_x_small, model_small
+):
+    # uncapped exact Shapley with the all-real contributor 2 copied under a
+    # new id: the two copies are symmetric players, up to the rounding of
+    # their rows' place in each pool, and the values sum to the fresh score
+    # of everyone pooled (efficiency against v(full) itself, not against
+    # the value function, so a part value shared by the wrong coalitions
+    # shows)
+    players = [*contributors_mixed, dataclasses.replace(contributors_mixed[2], id="twin")]
+    config = ValuationConfig(seed=3)
+    phi = marginal_values(
+        players, CoalitionWeighting("shapley"), test_x_small, model_small, config
+    ).values
+    assert abs(phi[2] - phi[-1]) <= 1e-12 * np.abs(phi).max()
+    everyone = pool_contributors(players, id="+".join(c.id for c in players))
+    v_full = score(everyone, test_x_small, model_small, config).total
+    assert math.fsum(phi) == pytest.approx(v_full, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
 def test_held_distance_pieces_match_fresh_scores_over_two_pair_blocks(model_small, estimator):
     # the pooled real part has 390 rows, so its condensed yy (75855 pairs)
