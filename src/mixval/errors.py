@@ -60,6 +60,22 @@ def check_reals(values, name: str, *, gt=-math.inf, ge=-math.inf, le=math.inf) -
     return np.asarray(raw, dtype=float)
 
 
+def prechecked(cls, **values):
+    """An instance of the frozen dataclass ``cls`` holding ``values``,
+    built without running its ``__post_init__``.
+
+    Only for values that follow from instances which passed those checks,
+    where checking them again per call would repeat the work: a pooled
+    coalition's rows (``longtail.pool_contributors``) and a checked bank's
+    scaled bandwidths (``mmd.MultiKernelSpec.scaled``).  Every other
+    instance is built by ``cls(...)``, which checks it.
+    """
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class MixvalError(Exception):
     """Base class for all package errors."""
 

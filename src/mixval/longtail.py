@@ -20,7 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from ._seeds import substream
-from .errors import ConfigError, DomainError, check_count, check_real, check_reals, is_integer
+from .errors import (
+    ConfigError,
+    DomainError,
+    check_count,
+    check_real,
+    check_reals,
+    is_integer,
+    prechecked,
+)
 
 # substream tags under the root seed
 _PROTO_STREAM = 0
@@ -238,13 +246,20 @@ def check_unique_ids(ids, what: str) -> None:
 
 
 def pool_contributors(contributors: list[Contributor], id: str = "pool") -> Contributor:
-    """Merge several contributors into one (real with real, synth with synth)."""
+    """Merge several contributors into one (real with real, synth with synth).
+
+    Every member passed ``Contributor``'s checks when it was built, so the
+    pool, which joins their arrays, is built without scanning them again
+    (a coalition value pools once per coalition); the list itself must be
+    nonempty and of one feature dim.
+    """
     if not contributors:
         raise DomainError("cannot pool an empty contributor list")
     widths = sorted({c.real_x.shape[1] for c in contributors})
     if len(widths) > 1:
         raise DomainError(f"cannot pool contributors of different feature dims {widths}")
-    return Contributor(
+    return prechecked(
+        Contributor,
         id=id,
         real_x=np.vstack([c.real_x for c in contributors]),
         real_y=np.concatenate([c.real_y for c in contributors]),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DegenerateDataError, DomainError, check_real, check_reals
+from .errors import DegenerateDataError, DomainError, check_real, check_reals, prechecked
 
 # default multi-scale bank: bandwidth multipliers around the median heuristic
 _DEFAULT_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -91,9 +91,26 @@ class MultiKernelSpec:
         scales: tuple[float, ...] = _DEFAULT_SCALES,
         blocks: DistanceBlocks | None = None,
     ) -> "MultiKernelSpec":
-        """Bank of scaled median-heuristic bandwidths with uniform weights."""
+        """Bank of scaled median-heuristic bandwidths with uniform weights:
+        the checked bank of ``scales``, ``scaled`` by the median."""
         med = median_heuristic(x, y, blocks)
-        return cls.from_bandwidths([s * med for s in scales])
+        return cls.from_bandwidths(scales).scaled(med)
+
+    def scaled(self, factor: float) -> "MultiKernelSpec":
+        """This bank with every bandwidth times ``factor``, weights kept.
+
+        The bank passed its checks when it was built, so the new one is not
+        checked again, except that a bandwidth the product overflows to
+        inf or underflows to 0 raises ``KernelSpec``'s DomainError.  So a
+        caller that scales one bank per part, as ``valuation`` does by each
+        part's median heuristic, checks its scales once.
+        """
+        bandwidths = [k.bandwidth * factor for k in self.kernels]
+        for b in bandwidths:
+            if not 0.0 < b < math.inf:
+                KernelSpec(b)  # raises the bandwidth's DomainError
+        kernels = tuple(prechecked(KernelSpec, bandwidth=b) for b in bandwidths)
+        return prechecked(type(self), kernels=kernels, weights=self.weights)
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ def gradients(spec: MLPSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     blocks = spec.layers(g)
     for li, delta, h_in in backprop(spec, layers, outputs, np.ones((len(xb), 1))):
         gw, gb = blocks[li]
-        np.multiply(delta[:, :, None], h_in[:, None, :], out=gw)
+        np.einsum("ij,ik->ijk", delta, h_in, out=gw)  # each entry one product
         gb[...] = delta
     return g
 
@@ -242,7 +242,8 @@ class NTKGram:
         self.jacobian: np.ndarray | None = None
         self.gradient_norm_bound = gradient_norm_bound
         self.n = len(m)
-        self._trace = float(np.trace(m))
+        with np.errstate(over="ignore"):  # an inf trace is bound_term's to report
+            self._trace = float(np.trace(m))
 
     @classmethod
     def of_jacobian(cls, jacobian: np.ndarray) -> "NTKGram":
@@ -257,7 +258,8 @@ class NTKGram:
         gram.jacobian = jacobian
         gram.gradient_norm_bound = float(np.sqrt(sq_norms.max()))
         gram.n = len(jacobian)
-        gram._trace = float(sq_norms.sum())
+        with np.errstate(over="ignore"):  # an inf trace is bound_term's to report
+            gram._trace = float(sq_norms.sum())
         return gram
 
     @property
@@ -317,31 +319,45 @@ def _condition(gram: NTKGram, ridge: float) -> float:
 
 
 def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b for symmetric positive definite ``a``, factored in place.
+    """a^-1 b for a finite, symmetric positive definite, Fortran-order ``a``,
+    factored in place.
 
-    scipy.linalg is imported here, on the first solve, not with the
-    package: it takes about 0.3 s and 28 MB to load.
+    LAPACK's potrf and potrs, the routines under scipy's ``cho_factor`` and
+    ``cho_solve``, so the bits are theirs; the wrappers would scan a for
+    finiteness twice and b once more, which ``bound_term`` does once
+    itself.  A factor that fails raises ``LinAlgError``, as ``cho_factor``
+    does.  scipy.linalg is imported here, on the first solve, not with
+    the package: it takes about 0.3 s and 28 MB to load.
     """
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
-    return cho_solve(cho_factor(a, overwrite_a=True), b)
+    c, info = dpotrf(a, lower=False, overwrite_a=True, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+    return dpotrs(c, b, lower=False)[0]
 
 
-def _push_through(j: np.ndarray, r: np.ndarray, ridge: float) -> float:
-    """r' (J J' + ridge I)^-1 r through the P x P system J'J + ridge I.
+def _ridged_system(gram: NTKGram, r: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    # (A, b) of the solve, A in Fortran order for an in-place factor:
+    # K + ridge I and r when the Gram holds K; J'J + ridge I and J'r when
+    # it holds J (see _push_through).  J'J from syrk is exactly symmetric,
+    # so its transpose is the same matrix in Fortran order.
+    j = gram.jacobian
+    a, b = (gram.matrix.copy(order="F"), r) if j is None else ((j.T @ j).T, j.T @ r)
+    a.flat[:: len(a) + 1] += ridge
+    return a, b
+
+
+def _push_through(j: np.ndarray, r: np.ndarray, x: np.ndarray, ridge: float) -> float:
+    """r' (J J' + ridge I)^-1 r from x, the solve of the P x P system
+    (J'J + ridge I) x = J'r.
 
     By the push-through identity (J J' + ridge I)^-1 = (I - J (J'J +
     ridge I)^-1 J') / ridge, ridge times the form is r'r - b'x with
-    b = J'r and x = (J'J + ridge I)^-1 b: the minimum over x of
-    ||r - J x||^2 + ridge ||x||^2.  It is evaluated as that sum at the
-    solved x, where the solve's error enters squared, rather than as
-    the difference r'r - b'x, which cancels.
+    b = J'r: the minimum over x of ||r - J x||^2 + ridge ||x||^2.  It is
+    evaluated as that sum at the solved x, where the solve's error enters
+    squared, rather than as the difference r'r - b'x, which cancels.
     """
-    # J'J from syrk is exactly symmetric, so its transpose is the same
-    # matrix in Fortran order, which cho_factor factors in place
-    a = (j.T @ j).T
-    a.flat[:: len(a) + 1] += ridge
-    x = _cholesky_solve(a, j.T @ r)
     e = r - j @ x
     return float((e @ e + ridge * (x @ x)) / ridge)
 
@@ -356,34 +372,38 @@ def bound_term(
     n x n matrix K + ridge I when the Gram holds its matrix (n <= P),
     of the P x P matrix J'J + ridge I when it holds J (n > P), which
     is cheaper there and rounds less.  Above P, K has rank <= P < n,
-    so ridge 0 is singular.
+    so ridge 0 is singular.  The ridged system and its right-hand side
+    are checked for finiteness once, here: a Gram whose system (or
+    default ridge, from the trace) overflows is a ``NumericalError``.
     """
     r = check_reals(residuals, "residuals").ravel()
     if len(r) != gram.n:
         raise DomainError(f"{len(r)} residuals for a {gram.n}-point Gram matrix")
     if ridge is None:
-        ridge = default_ridge(gram)
-    check_real(ridge, "ridge", ge=0)
+        ridge = default_ridge(gram)  # inf if the trace overflows: see the system check
+    else:
+        check_real(ridge, "ridge", ge=0)
     j = gram.jacobian
     if j is not None and ridge == 0:
         raise NumericalError(
             f"Gram system singular after ridge 0: rank <= {j.shape[1]} parameters "
             f"< {gram.n} points"
         )
-    # a form that overflows is reported below as a NumericalError, not a warning
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if j is None:
-                a = gram.matrix.copy(order="F")  # Fortran order: cho_factor works in place
-                a.flat[:: gram.n + 1] += ridge
-                quad = float(r @ _cholesky_solve(a, r))
-            else:
-                quad = _push_through(j, r, ridge)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg raises this class too
-        raise NumericalError(
-            f"Gram system singular after ridge {ridge:g} "
-            f"(condition number ~ {_condition(gram, ridge):.3e})"
-        ) from exc
+    # a system or form that overflows is reported below as a NumericalError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = _ridged_system(gram, r, ridge)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise NumericalError(
+                f"Gram system is not finite after ridge {ridge:g}: its entries overflow"
+            )
+        try:
+            x = _cholesky_solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"Gram system singular after ridge {ridge:g} "
+                f"(condition number ~ {_condition(gram, ridge):.3e})"
+            ) from exc
+        quad = float(r @ x) if j is None else _push_through(j, r, x, ridge)
     if not math.isfinite(quad) or quad < -1e-8 * max(1.0, gram.trace()):
         raise NumericalError(
             f"quadratic form {quad!r} unusable; Gram condition number "

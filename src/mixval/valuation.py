@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -29,6 +30,7 @@ from .mmd import (
     DistanceBlocks,
     MultiKernelSpec,
     check_estimator,
+    median_heuristic,
     mmd,
     sq_distances,
     sq_pairs,
@@ -140,6 +142,13 @@ class ValuationConfig:
             check_real(self.ridge, "ridge", ge=0)
         check_seed(self.seed)  # here, not per contributor: only a cap that fires draws
 
+    @cached_property
+    def kernel_bank(self) -> MultiKernelSpec:
+        """The uniform bank of ``kernel_scales``, built and checked once per
+        config; each part's bank is it ``scaled`` by the part's median
+        heuristic, as ``MultiKernelSpec.median_bank`` builds it."""
+        return MultiKernelSpec.from_bandwidths(self.kernel_scales)
+
 
 def empirical_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     """Mean squared-gap loss (f(x) - y)^2 / 2 over a sample set."""
@@ -249,8 +258,8 @@ def _blocks_discrepancy(
     t_x: np.ndarray, part_x: np.ndarray, blocks: DistanceBlocks, config: ValuationConfig
 ) -> float:
     # the one rule from a part's distance blocks to its discrepancy: the
-    # median bank, then the MMD
-    bank = MultiKernelSpec.median_bank(t_x, part_x, config.kernel_scales, blocks)
+    # median bank (the config's bank scaled by the median), then the MMD
+    bank = config.kernel_bank.scaled(median_heuristic(t_x, part_x, blocks))
     return mmd(t_x, part_x, bank, config.estimator, blocks).value
 
 
@@ -480,9 +489,10 @@ def coalition_value_fn(
     counts.  The contributor list must be nonempty with unique ids.
 
     What no coalition changes is built once, here: the checked test set
-    with its condensed pairs and, when the pool of every contributor
-    fits under ``ntk_cap`` (or there is none), so that no coalition's
-    cap fires, each contributor's model rows: the predictions and
+    with its condensed pairs, the config's ``kernel_bank`` (each part's
+    bank is it scaled by the part's median) and, when the pool of every
+    contributor fits under ``ntk_cap`` (or there is none), so that no
+    coalition's cap fires, each contributor's model rows: the predictions and
     gradient rows of its pooled rows, from one ``predict`` and one
     ``gradients`` call on them.  For N pooled rows and P parameters that
     is N*P floats, no more than the full coalition's score builds.  A
@@ -506,6 +516,7 @@ def coalition_value_fn(
     """
     _check_contributors(contributors)
     test = _TestSet.of(test_x, config.test_cap)
+    config.kernel_bank  # built here if no call has yet, so no coalition builds it
     n_total = sum(c.n_total for c in contributors)
     held = (
         [_held_rows(c, model) for c in contributors]

@@ -289,6 +289,26 @@ def test_pool_contributors_counts(contributors_small):
     assert np.array_equal(pooled.real_x, stacked)
 
 
+def test_pooled_contributor_equals_the_checked_one_field_for_field(contributors_small):
+    # the pool skips Contributor's scans of its members' checked rows, and
+    # is the Contributor that its joined arrays build through every check
+    pooled = pool_contributors(contributors_small, id="merged")
+    joined = {
+        f.name: (np.vstack if f.name.endswith("_x") else np.concatenate)(
+            [getattr(c, f.name) for c in contributors_small]
+        )
+        for f in dataclasses.fields(Contributor)
+        if f.name != "id"
+    }
+    checked = Contributor(id="merged", **joined)
+    assert type(pooled) is Contributor and pooled.id == checked.id
+    for name, want in joined.items():
+        got = getattr(pooled, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    for name in ("n_real", "n_synth", "pi"):
+        assert getattr(pooled, name) == getattr(checked, name)
+
+
 def test_parts_and_pool_members_share_one_feature_dim(contributors_small):
     # an empty part has a width too; numpy cannot stack parts of two widths
     x, y, idx = np.zeros((2, 4)), np.array([0.2, 0.4]), np.array([1, 2])

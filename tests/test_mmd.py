@@ -105,6 +105,31 @@ def test_empty_bank_is_a_domain_error_on_every_path():
         MultiKernelSpec.median_bank(np.zeros((2, 1)), np.ones((2, 1)), scales=())
 
 
+@pytest.mark.parametrize("scales", [(0.25, 0.5, 1.0, 2.0, 4.0), (0.3, 1.7), (1,)])
+def test_scaled_bank_equals_the_median_bank(scales):
+    # a bank checked once, scaled per part, is the bank of the scaled
+    # bandwidths built through every check
+    rng = np.random.default_rng(len(scales))
+    base = MultiKernelSpec.from_bandwidths(scales)
+    for _ in range(3):
+        x = rng.standard_normal((20, 3))
+        y = 2.0 * rng.standard_normal((15, 3)) + 0.5
+        med = median_heuristic(x, y)
+        want = MultiKernelSpec.from_bandwidths([s * med for s in scales])
+        assert base.scaled(med) == want == MultiKernelSpec.median_bank(x, y, scales)
+
+
+def test_scaled_bank_rejects_a_bandwidth_that_leaves_the_positive_floats():
+    # the one check a scaled bank keeps: KernelSpec's error for a product
+    # that overflows to inf or underflows to 0
+    with pytest.raises(DomainError, match="bandwidth must be finite, got inf"):
+        MultiKernelSpec.from_bandwidths([1.0, 1e300]).scaled(1e10)
+    with pytest.raises(DomainError, match="bandwidth must be > 0, got 0.0"):
+        MultiKernelSpec.from_bandwidths([1e-300]).scaled(1e-30)
+    with pytest.raises(DomainError, match="bandwidth must be finite, got inf"):
+        MultiKernelSpec.median_bank(np.array([0.0, 10.0]), np.array([5.0]), scales=(1e308,))
+
+
 def test_median_heuristic_hand_cases():
     assert median_heuristic(np.array([0.0, 1.0]), np.array([3.0])) == 2.0
     # even pair count: distances 1, 2, 3, 4, 6, 7 average the middle two

@@ -12,6 +12,7 @@ from mixval.ntk import (
     MLPSpec,
     Model,
     NTKGram,
+    _cholesky_solve,
     _sigmoid,
     bound_term,
     default_ridge,
@@ -508,3 +509,40 @@ def test_bound_term_failure_above_parameter_count_reports_the_solved_system():
     with pytest.raises(NumericalError, match=f"condition number ~ {re.escape(want)}"):
         bound_term(gram, 0.1 * rng.standard_normal(40), ridge=5e-324)
     assert gram._matrix is None
+
+
+@pytest.mark.parametrize("n", [161, 512])
+def test_cholesky_solve_equals_scipy_cho_solve_bit_for_bit(n):
+    # LAPACK's potrf and potrs, called as cho_factor and cho_solve call them
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(n)
+    j = rng.standard_normal((n + 40, n))
+    a = (j.T @ j).T
+    a.flat[:: n + 1] += 1e-3
+    b = rng.standard_normal(n)
+    want = cho_solve(cho_factor(a), b)
+    got = _cholesky_solve(a.copy(order="F"), b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_system_that_is_not_positive_definite_is_singular():
+    with pytest.raises(np.linalg.LinAlgError):
+        _cholesky_solve(np.asfortranarray(np.diag([1.0, -1.0, 2.0])), np.ones(3))
+    # eigenvalues 3 and -1: still indefinite after ridge 0.5
+    gram = NTKGram(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]), gradient_norm_bound=1.0)
+    with pytest.raises(NumericalError, match="singular after ridge 0.5"):
+        bound_term(gram, np.ones(2), ridge=0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ridge", [1.0, None])
+def test_an_overflowing_gram_system_is_a_numerical_error(ridge):
+    # each row's squared norm, 161e306, is finite, but J'J's diagonal and
+    # the trace (the default ridge's scale), over 480 rows, overflow: the
+    # system is not finite, whichever ridge is set, and no warning escapes
+    rng = np.random.default_rng(0)
+    j = np.where(rng.random((480, 161)) < 0.5, -1e153, 1e153)
+    gram = NTKGram.of_jacobian(j)
+    with pytest.raises(NumericalError, match="Gram system is not finite"):
+        bound_term(gram, rng.random(480), ridge)

@@ -680,6 +680,56 @@ def test_no_part_value_is_shared_when_a_cap_can_fire(
         assert values[coalition] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "config", [ValuationConfig(seed=3), ValuationConfig(seed=3, mmd_cap=10)]
+)
+def test_coalitions_check_no_bank_and_no_contributor_again(
+    monkeypatch, contributors_mixed, test_x_small, model_small, config
+):
+    # every scale was checked with the config and every row with its
+    # contributor: valuing all 15 coalitions builds no checked kernel bank
+    # (a bank check_real) and runs no Contributor.__post_init__, whether
+    # the coalitions share held distances or build their own blocks
+    calls = {"check_real": 0, "__post_init__": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(mmd_module, "check_real", counting("check_real", mmd_module.check_real))
+    monkeypatch.setattr(
+        Contributor, "__post_init__", counting("__post_init__", Contributor.__post_init__)
+    )
+    fn = coalition_value_fn(contributors_mixed, test_x_small, model_small, config)
+    calls.update(check_real=0, __post_init__=0)
+    for mask in range(1, 16):
+        fn(frozenset(i for i in range(4) if mask >> i & 1))
+    assert calls == {"check_real": 0, "__post_init__": 0}
+
+
+def test_a_bandwidth_that_overflows_fails_the_contributor_on_both_paths(
+    contributors_mixed, test_x_small, model_small
+):
+    # features 10x apart put every median past 1.8, so the scale 1e308
+    # passes the config's check but its bandwidth overflows to inf
+    wide = [
+        dataclasses.replace(c, real_x=10.0 * c.real_x, synth_x=10.0 * c.synth_x)
+        for c in contributors_mixed[:2]
+    ]
+    test_x = 10.0 * test_x_small
+    config = ValuationConfig(seed=3, kernel_scales=(1e308,))
+    message = "bandwidth must be finite, got inf"
+    scores, failures = score_all(wide, test_x, model_small, config)
+    assert scores == [] and sorted(failures) == ["c000", "c001"]
+    assert all(f"DomainError: contributor {cid!r}: {message}" == failures[cid] for cid in failures)
+    fn = coalition_value_fn(wide, test_x, model_small, config)
+    with pytest.raises(DomainError, match=f"contributor 'c000\\+c001': {message}"):
+        fn(frozenset({0, 1}))
+
+
 def test_a_copied_contributor_gets_its_twin_shapley_value(
     contributors_mixed, test_x_small, model_small
 ):
